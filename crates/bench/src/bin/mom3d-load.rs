@@ -24,6 +24,7 @@
 //! retries and `ERR_OVERLOADED` sheds absorbed. Bit-identity is still
 //! asserted — chaos may cost latency, never correctness.
 
+use mom3d_bench::cli::set_endpoint;
 use mom3d_bench::faults::ChaosConfig;
 use mom3d_bench::load::{run_load, LoadConfig};
 use mom3d_bench::protocol::{Client, Endpoint, Request};
@@ -53,14 +54,7 @@ fn parse_args<I: IntoIterator<Item = String>>(args: I) -> Result<Args, String> {
     let mut it = args.into_iter();
     while let Some(arg) = it.next() {
         match arg.as_str() {
-            "--tcp" => {
-                let v = it.next().ok_or("--tcp needs an address")?;
-                set_endpoint(&mut endpoint, Endpoint::Tcp(v))?;
-            }
-            "--unix" => {
-                let v = it.next().ok_or("--unix needs a path")?;
-                set_endpoint(&mut endpoint, Endpoint::Unix(PathBuf::from(v)))?;
-            }
+            flag @ ("--tcp" | "--unix") => set_endpoint(&mut endpoint, flag, &mut it)?,
             "--smoke" => smoke = true,
             "--no-verify" => verify = false,
             "--stop" => stop = true,
@@ -101,14 +95,6 @@ fn parse_args<I: IntoIterator<Item = String>>(args: I) -> Result<Args, String> {
     config.verify = verify;
     config.chaos = ChaosConfig::from_cli(chaos_seed, chaos_profile.as_deref())?;
     Ok(Args { config, json: json.unwrap_or_else(|| PathBuf::from("BENCH_serve.json")), stop })
-}
-
-fn set_endpoint(slot: &mut Option<Endpoint>, ep: Endpoint) -> Result<(), String> {
-    if slot.is_some() {
-        return Err("at most one of --tcp/--unix".into());
-    }
-    *slot = Some(ep);
-    Ok(())
 }
 
 fn positive(it: &mut impl Iterator<Item = String>, flag: &str) -> Result<usize, String> {

@@ -28,6 +28,7 @@
 //! A readiness line (`listening on …`) is printed to stdout once the
 //! socket is bound — CI waits for it before starting the load.
 
+use mom3d_bench::cli::set_endpoint;
 use mom3d_bench::faults::ChaosConfig;
 use mom3d_bench::protocol::Endpoint;
 use mom3d_bench::serve::{serve, ServeConfig};
@@ -53,14 +54,7 @@ fn parse_args<I: IntoIterator<Item = String>>(args: I) -> Result<Args, String> {
     let mut it = args.into_iter();
     while let Some(arg) = it.next() {
         match arg.as_str() {
-            "--tcp" => {
-                let v = it.next().ok_or("--tcp needs an address")?;
-                set_endpoint(&mut endpoint, Endpoint::Tcp(v))?;
-            }
-            "--unix" => {
-                let v = it.next().ok_or("--unix needs a path")?;
-                set_endpoint(&mut endpoint, Endpoint::Unix(PathBuf::from(v)))?;
-            }
+            flag @ ("--tcp" | "--unix") => set_endpoint(&mut endpoint, flag, &mut it)?,
             "--small" => config.small = true,
             "--prebuild" => config.prebuild = true,
             "--threads" => {
@@ -105,14 +99,6 @@ fn parse_args<I: IntoIterator<Item = String>>(args: I) -> Result<Args, String> {
         endpoint: endpoint.unwrap_or_else(|| Endpoint::Tcp("127.0.0.1:7733".into())),
         config,
     })
-}
-
-fn set_endpoint(slot: &mut Option<Endpoint>, ep: Endpoint) -> Result<(), String> {
-    if slot.is_some() {
-        return Err("at most one of --tcp/--unix".into());
-    }
-    *slot = Some(ep);
-    Ok(())
 }
 
 fn main() {

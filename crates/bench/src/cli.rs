@@ -284,14 +284,7 @@ where
                 let v = it.next().ok_or("--cache-dir needs a path")?;
                 config.cache_dir = Some(PathBuf::from(v));
             }
-            "--tcp" => {
-                let v = it.next().ok_or("--tcp needs an address")?;
-                set_endpoint(&mut parsed.endpoint, Endpoint::Tcp(v))?;
-            }
-            "--unix" => {
-                let v = it.next().ok_or("--unix needs a path")?;
-                set_endpoint(&mut parsed.endpoint, Endpoint::Unix(PathBuf::from(v)))?;
-            }
+            flag @ ("--tcp" | "--unix") => set_endpoint(&mut parsed.endpoint, flag, &mut it)?,
             "--chaos-seed" => {
                 let v = it.next().ok_or("--chaos-seed needs a value")?;
                 chaos_seed =
@@ -353,14 +346,7 @@ where
     let mut it = args.into_iter();
     while let Some(arg) = it.next() {
         match arg.as_str() {
-            "--tcp" => {
-                let v = it.next().ok_or("--tcp needs an address")?;
-                set_endpoint(&mut endpoint, Endpoint::Tcp(v))?;
-            }
-            "--unix" => {
-                let v = it.next().ok_or("--unix needs a path")?;
-                set_endpoint(&mut endpoint, Endpoint::Unix(PathBuf::from(v)))?;
-            }
+            flag @ ("--tcp" | "--unix") => set_endpoint(&mut endpoint, flag, &mut it)?,
             "--id" => {
                 let v = it.next().ok_or("--id needs a value")?;
                 config.id = v.parse().map_err(|_| format!("--id {v:?}: not an integer"))?;
@@ -562,7 +548,22 @@ where
     Ok(parsed)
 }
 
-fn set_endpoint(slot: &mut Option<Endpoint>, ep: Endpoint) -> Result<(), String> {
+/// Parses the value of `flag` (`--tcp` or `--unix`) from `it` into
+/// `slot`, refusing a second endpoint.
+///
+/// # Errors
+///
+/// A missing value, or `at most one of --tcp/--unix`.
+pub fn set_endpoint(
+    slot: &mut Option<Endpoint>,
+    flag: &str,
+    it: &mut impl Iterator<Item = String>,
+) -> Result<(), String> {
+    let ep = if flag == "--tcp" {
+        Endpoint::Tcp(it.next().ok_or("--tcp needs an address")?)
+    } else {
+        Endpoint::Unix(PathBuf::from(it.next().ok_or("--unix needs a path")?))
+    };
     if slot.is_some() {
         return Err("at most one of --tcp/--unix".into());
     }

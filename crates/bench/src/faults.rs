@@ -42,10 +42,10 @@
 //! stderr.
 
 use crate::protocol::{Endpoint, FrameError, Stream};
+use crate::server;
 use std::fmt;
 use std::fs::File;
 use std::io::{self, Read, Write};
-use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread;
@@ -378,6 +378,19 @@ impl ChaosStream {
     }
 }
 
+/// Wraps `stream` in a [`ChaosStream`] on fault lane `lane` when `chaos`
+/// is set, and passes it through untouched otherwise. Servers wrap each
+/// accepted connection (lane = connection ordinal), clients each dialed
+/// one (lane = dial ordinal).
+pub(crate) fn chaos_wrap(stream: Stream, chaos: Option<&ChaosConfig>, lane: u64) -> Stream {
+    match chaos {
+        Some(chaos) => {
+            Stream::Chaos(Box::new(ChaosStream::wrap(stream, FaultPlan::new(chaos, lane))))
+        }
+        None => stream,
+    }
+}
+
 impl Read for ChaosStream {
     fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
         match self.state {
@@ -487,11 +500,11 @@ impl Write for ChaosStream {
 /// through per-direction [`FaultPlan`]s. The peers need no cooperation
 /// — `tests/chaos.rs` runs unmodified workers and clients through it —
 /// and `mom3d-serve`/`mom3d-shard` use the same fault plans directly on
-/// their accepted streams for `--chaos-seed`.
+/// their accepted streams for `--chaos-seed`. Binding, the accept loop
+/// and shutdown are the servers' own (`crate::server`).
 #[derive(Debug)]
 pub struct ChaosProxy {
     endpoint: Endpoint,
-    unix_path: Option<PathBuf>,
     shutdown: Arc<AtomicBool>,
     accept: Option<thread::JoinHandle<()>>,
 }
@@ -513,51 +526,26 @@ impl ChaosProxy {
         upstream: Endpoint,
         config: ChaosConfig,
     ) -> io::Result<ChaosProxy> {
-        enum ProxyListener {
-            Tcp(std::net::TcpListener),
-            Unix(std::os::unix::net::UnixListener),
-        }
-        let (listener, endpoint, unix_path) = match &listen {
-            Endpoint::Tcp(addr) => {
-                let l = std::net::TcpListener::bind(addr.as_str())?;
-                let resolved = Endpoint::Tcp(l.local_addr()?.to_string());
-                (ProxyListener::Tcp(l), resolved, None)
-            }
-            Endpoint::Unix(path) => {
-                let _ = std::fs::remove_file(path);
-                let l = std::os::unix::net::UnixListener::bind(path)?;
-                (ProxyListener::Unix(l), listen.clone(), Some(path.clone()))
-            }
-        };
+        let (listener, endpoint) = server::bind(listen)?;
         let shutdown = Arc::new(AtomicBool::new(false));
         let accept = {
             let shutdown = Arc::clone(&shutdown);
+            let endpoint = endpoint.clone();
             thread::Builder::new().name("mom3d-chaos-accept".into()).spawn(move || {
                 let mut conn: u64 = 0;
-                loop {
-                    let client = match &listener {
-                        ProxyListener::Tcp(l) => l.accept().map(|(s, _)| {
-                            let _ = s.set_nodelay(true);
-                            Stream::Tcp(s)
-                        }),
-                        ProxyListener::Unix(l) => l.accept().map(|(s, _)| Stream::Unix(s)),
-                    };
-                    if shutdown.load(Ordering::SeqCst) {
-                        break;
-                    }
-                    let Ok(client) = client else { break };
+                server::accept_loop(&listener, &endpoint, &shutdown, |client| {
                     let Ok(server) = upstream.connect() else {
                         // Upstream gone: refuse by closing; the client's
                         // own retry policy decides what happens next.
                         client.shutdown_all();
-                        continue;
+                        return;
                     };
                     Self::splice(client, server, &config, conn, &shutdown);
                     conn += 1;
-                }
+                });
             })?
         };
-        Ok(ChaosProxy { endpoint, unix_path, shutdown, accept: Some(accept) })
+        Ok(ChaosProxy { endpoint, shutdown, accept: Some(accept) })
     }
 
     /// The (resolved) endpoint clients should dial.
@@ -646,15 +634,9 @@ impl ChaosProxy {
     /// Stops accepting and unlinks the proxy's unix socket (if any).
     /// Existing pumps wind down on their own poll deadlines.
     pub fn shutdown(&mut self) {
-        if self.shutdown.swap(true, Ordering::SeqCst) {
-            return;
-        }
-        let _ = self.endpoint.connect(); // unblock the blocking accept
+        server::stop(&self.shutdown, &self.endpoint);
         if let Some(accept) = self.accept.take() {
             let _ = accept.join();
-        }
-        if let Some(path) = &self.unix_path {
-            let _ = std::fs::remove_file(path);
         }
     }
 }

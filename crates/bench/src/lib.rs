@@ -105,6 +105,7 @@ pub mod protocol;
 mod report;
 mod runner;
 pub mod serve;
+mod server;
 pub mod shard;
 pub mod stats;
 pub mod sweep;

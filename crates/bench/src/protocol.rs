@@ -43,8 +43,9 @@
 //! what an in-process [`crate::Runner`] computes for the same key.
 //!
 //! The distributed-sweep opcodes ([`crate::shard`]) ride the same
-//! framing; they are served by the `mom3d-shard` coordinator (and
-//! answered with [`ERR_UNSUPPORTED`] by `mom3d-serve`):
+//! framing and are served by the `mom3d-shard` coordinator. Each
+//! service answers the other's opcodes with [`ERR_UNSUPPORTED`] and a
+//! message naming the service that speaks them:
 //!
 //! | Request       | Payload                          | Reply |
 //! |---------------|----------------------------------|-------|
@@ -52,7 +53,7 @@
 //! | `CELL_DONE`   | key + sim wall-clock + [`Metrics`] | — (fire-and-forget stream) |
 //! | `SHARD_FIN`   | cells completed in this grant    | `DONE` (ack; carries cells still pending coordinator-side) |
 
-use crate::faults::{Backoff, ChaosConfig, ChaosStream, FaultPlan};
+use crate::faults::{chaos_wrap, Backoff, ChaosConfig};
 use crate::runner::SimKey;
 use mom3d_cpu::{BackendRegistry, Metrics};
 use mom3d_kernels::{IsaVariant, WorkloadKind};
@@ -1046,6 +1047,21 @@ impl Client {
         Client { stream, io_timeout: std::cell::Cell::new(None) }
     }
 
+    /// Connects as dial number `*seq` (advanced on success), chaos-wraps
+    /// the stream on that lane when `chaos` is set, and arms
+    /// `io_timeout` ([`Client::set_io_timeout`]).
+    pub(crate) fn dial(
+        endpoint: &Endpoint,
+        chaos: Option<&ChaosConfig>,
+        seq: &mut u64,
+        io_timeout: Option<Duration>,
+    ) -> io::Result<Client> {
+        let client = Client::from_stream(chaos_wrap(endpoint.connect()?, chaos, *seq));
+        *seq += 1;
+        client.set_io_timeout(io_timeout);
+        Ok(client)
+    }
+
     /// Arms one deadline on both directions of the connection. Expiry
     /// surfaces from [`Client::recv`] as `io::ErrorKind::TimedOut`; the
     /// client must then be discarded (a timeout can strike mid-frame).
@@ -1181,7 +1197,8 @@ enum Attempt {
 /// claim/stream conversation in [`crate::shard`].
 ///
 /// With a [`ChaosConfig`] attached ([`RetryClient::with_chaos`]), every
-/// connection it dials is wrapped in a [`ChaosStream`] whose fault lane
+/// connection it dials is wrapped in a
+/// [`ChaosStream`](crate::faults::ChaosStream) whose fault lane
 /// is the connection's sequence number — so a same-seed run dials the
 /// same connections, suffers the same faults and recovers through the
 /// same path, making the fault counters reproducible.
@@ -1232,15 +1249,8 @@ impl RetryClient {
 
     fn connected(&mut self) -> io::Result<&mut Client> {
         if self.client.is_none() {
-            let mut stream = self.endpoint.connect()?;
-            if let Some(chaos) = &self.chaos {
-                let plan = FaultPlan::new(chaos, self.conn_seq);
-                stream = Stream::Chaos(Box::new(ChaosStream::wrap(stream, plan)));
-            }
-            self.conn_seq += 1;
-            let client = Client::from_stream(stream);
-            client.set_io_timeout(self.policy.io_timeout);
-            self.client = Some(client);
+            let (chaos, timeout) = (self.chaos.as_ref(), self.policy.io_timeout);
+            self.client = Some(Client::dial(&self.endpoint, chaos, &mut self.conn_seq, timeout)?);
         }
         Ok(self.client.as_mut().expect("just connected"))
     }

@@ -10,12 +10,14 @@
 //!
 //! Architecture (all std, no tokio):
 //!
-//! * an **accept loop** (TCP or unix socket, [`Endpoint`]) spawns one
-//!   handler thread per connection;
-//! * handlers decode [`Request`]s ([`crate::protocol`]) and resolve
-//!   cells against the resident [`MemoTable`]: published cells answer
-//!   immediately, identical in-flight cells coalesce onto the running
-//!   simulation, and fresh cells are claimed and scheduled onto
+//! * the shared server core (`crate::server`, also under the
+//!   `mom3d-shard` coordinator) binds the [`Endpoint`], runs the accept
+//!   loop and one handler thread per connection, and decodes
+//!   [`Request`]s ([`crate::protocol`]);
+//! * this module answers them against the resident [`MemoTable`]:
+//!   published cells answer immediately, identical in-flight cells
+//!   coalesce onto the running simulation, and fresh cells are claimed
+//!   and scheduled onto
 //! * a **simulation worker pool** (the same worker-count policy as the
 //!   [`crate::sweep`] engine, sharing its [`Runner`] build/verify and
 //!   `simulate` paths), which publishes each result to the memo table,
@@ -34,43 +36,38 @@
 //! requester. The memo table is never corrupted by a misbehaving
 //! client; `tests/serve.rs` pins all of this.
 //!
-//! Robustness under hostile load (PR 9): every handler socket carries
-//! read/write deadlines; waits on in-flight simulations are bounded
-//! (`RESULT_DEADLINE` → `ERR_TIMEOUT`); the pending-work queue is
-//! bounded and requests over the bound are **shed** with a typed
-//! [`ERR_OVERLOADED`] reply (clients back off and retry — requests are
-//! `SimKey`s and replies memoized, so retries are idempotent); a
-//! connection cap refuses accepts beyond it; shutdown is a **graceful
-//! drain** that finishes in-flight simulations, refuses new work,
-//! flushes a final counter/memo-stat line and force-closes only the
-//! stragglers. Frame-damage warnings are once-per-class
-//! ([`FrameWarnings`]) so a garbage-spewing client cannot flood
-//! stderr, and the unix-socket file is unlinked on every accept-loop
-//! exit path — panic included — by a drop-guard. `--chaos-seed` wraps
-//! every accepted connection in a seeded [`ChaosStream`]
-//! ([`crate::faults`]) for hostile self-testing.
+//! Robustness under hostile load: on top of the core's deadlines,
+//! connection cap and once-per-class frame warnings, waits on
+//! in-flight simulations are bounded (`RESULT_DEADLINE` →
+//! `ERR_TIMEOUT`), and requests over the pending-work bound are
+//! **shed** with a typed [`ERR_OVERLOADED`] reply (clients back off and
+//! retry — requests are `SimKey`s and replies memoized, so retries are
+//! idempotent). Shutdown is a **graceful drain** that finishes
+//! in-flight simulations, refuses new work, force-closes only the
+//! stragglers and flushes a final counter/memo-stat line.
+//! `--chaos-seed` wraps every accepted connection in a seeded
+//! [`ChaosStream`](crate::faults::ChaosStream) for hostile self-testing.
 
-use crate::faults::{ChaosConfig, ChaosStream, FaultPlan, FrameWarnings};
+use crate::faults::ChaosConfig;
 use crate::memo::{ClaimGuard, MemoTable, Schedule};
 use crate::protocol::{
-    read_frame_deadlined, write_frame, CellReply, Endpoint, FrameError, Hello, Request, Response,
-    ServeCounters, Stream, ERR_OVERLOADED, ERR_PROTOCOL, ERR_SIM_FAILED, ERR_TIMEOUT,
-    ERR_UNSUPPORTED,
+    CellReply, Endpoint, Hello, Request, Response, ServeCounters, Stream, ERR_OVERLOADED,
+    ERR_SIM_FAILED, ERR_TIMEOUT,
 };
 use crate::runner::{simulate, Runner, SimKey};
+use crate::server::{self, respond, Core, Service};
 use crate::sweep;
 use crate::WorkloadCache;
 use mom3d_cpu::Metrics;
 use mom3d_kernels::{IsaVariant, Workload, WorkloadKind};
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{HashSet, VecDeque};
 use std::io;
-use std::net::TcpListener;
-use std::os::unix::net::UnixListener;
-use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::time::Duration;
+
+pub use crate::server::DEFAULT_CONNECTION_CAP;
 
 /// Pending-work queue bound when [`ServeConfig::queue_limit`] is 0: a
 /// request arriving while this many cells are already queued is shed
@@ -78,30 +75,10 @@ use std::time::{Duration, Instant};
 /// bound.
 pub const DEFAULT_QUEUE_LIMIT: usize = 1024;
 
-/// Connection cap when [`ServeConfig::max_connections`] is 0: an accept
-/// beyond it is answered with one [`ERR_OVERLOADED`] frame and closed.
-pub const DEFAULT_CONNECTION_CAP: usize = 256;
-
-/// Handler-side read deadline: a connection idle past this is
-/// reclaimed (the client reconnects on its next request).
-const IDLE_TIMEOUT: Duration = Duration::from_secs(300);
-
-/// Handler-side write deadline: a peer that never drains its socket
-/// surfaces as a dead connection instead of wedging the handler.
-const WRITE_TIMEOUT: Duration = Duration::from_secs(30);
-
 /// Ceiling on "waiting for a cell someone is computing": past this the
 /// handler answers [`ERR_TIMEOUT`] instead of parking forever. Generous
 /// — full-geometry cells take seconds, not minutes.
 const RESULT_DEADLINE: Duration = Duration::from_secs(600);
-
-/// Drain grace: how long shutdown waits for in-flight handlers to
-/// finish streaming (every result is already published by then) before
-/// force-closing the stragglers.
-const DRAIN_GRACE: Duration = Duration::from_millis(250);
-
-/// Bound on waiting for force-closed handlers to notice and exit.
-const DRAIN_FORCE_WAIT: Duration = Duration::from_secs(5);
 
 /// How a [`ServerHandle`] is configured.
 #[derive(Debug)]
@@ -129,8 +106,9 @@ pub struct ServeConfig {
     /// one [`ERR_OVERLOADED`] frame.
     pub max_connections: usize,
     /// Server-side fault injection: every accepted connection is
-    /// wrapped in a seeded [`ChaosStream`] (lane = connection ordinal),
-    /// so the server's own replies are damaged deterministically.
+    /// wrapped in a seeded [`ChaosStream`](crate::faults::ChaosStream)
+    /// (lane = connection ordinal), so the server's own replies are
+    /// damaged deterministically.
     pub chaos: Option<ChaosConfig>,
     /// Fault hook: panic the accept loop after this many accepted
     /// connections. Exists so tests can pin that the unix-socket file
@@ -154,58 +132,46 @@ impl Default for ServeConfig {
     }
 }
 
+
 #[derive(Debug, Default)]
 struct Counters {
-    connections: AtomicU64,
     requests: AtomicU64,
     sims_executed: AtomicU64,
     workloads_built: AtomicU64,
-    protocol_errors: AtomicU64,
     results_streamed: AtomicU64,
     shed: AtomicU64,
-    refused_connections: AtomicU64,
 }
 
-/// Shared state of one server: the resident tables, the job queue and
-/// the shutdown latch.
+/// Shared state of one server: the core, the resident tables and the
+/// job queue.
 #[derive(Debug)]
 struct ServeState {
+    core: Core,
     runner: Runner,
     hello: Hello,
     workloads: MemoTable<(WorkloadKind, IsaVariant), Arc<Workload>>,
     memo: MemoTable<SimKey, Metrics>,
     queue: Mutex<VecDeque<SimKey>>,
     queue_ready: Condvar,
-    shutdown: AtomicBool,
     counters: Counters,
-    endpoint: Endpoint,
     queue_limit: usize,
-    max_connections: usize,
-    chaos: Option<ChaosConfig>,
-    /// Live-connection registry: id → a raw clone of the accepted
-    /// stream (`None` when cloning failed), so drain can force-close a
-    /// handler parked in a blocking read. Its length is the connection
-    /// count the cap is enforced against.
-    conns: Mutex<HashMap<u64, Option<Stream>>>,
-    conns_changed: Condvar,
-    warnings: FrameWarnings,
 }
 
 impl ServeState {
     fn counters_snapshot(&self) -> ServeCounters {
         let memo = self.memo.stats();
         ServeCounters {
-            connections: self.counters.connections.load(Ordering::Relaxed),
+            connections: self.core.connections.load(Ordering::Relaxed),
             requests: self.counters.requests.load(Ordering::Relaxed),
             memo_hits: memo.hits,
             memo_misses: memo.misses,
             memo_coalesced: memo.coalesced,
             sims_executed: self.counters.sims_executed.load(Ordering::Relaxed),
             workloads_built: self.counters.workloads_built.load(Ordering::Relaxed),
-            protocol_errors: self.counters.protocol_errors.load(Ordering::Relaxed),
+            protocol_errors: self.core.protocol_errors.load(Ordering::Relaxed),
             results_streamed: self.counters.results_streamed.load(Ordering::Relaxed),
             shed: self.counters.shed.load(Ordering::Relaxed),
-            refused_connections: self.counters.refused_connections.load(Ordering::Relaxed),
+            refused_connections: self.core.refused.load(Ordering::Relaxed),
         }
     }
 
@@ -222,7 +188,7 @@ impl ServeState {
     /// unbounded backlog. Requests are `SimKey`s and replies are
     /// memoized, so a shed-then-retried request is idempotent.
     fn shed_reply(&self) -> Option<Response> {
-        let message = if self.shutdown.load(Ordering::SeqCst) {
+        let message = if self.core.shutting_down() {
             "server is draining: no new work accepted".to_string()
         } else {
             let queued = self.queue.lock().expect("job queue poisoned").len();
@@ -234,98 +200,53 @@ impl ServeState {
         self.counters.shed.fetch_add(1, Ordering::Relaxed);
         Some(Response::Error { code: ERR_OVERLOADED, message })
     }
+}
 
-    /// Admits a fresh connection into the registry, or refuses it when
-    /// the cap is reached.
-    fn admit(&self, id: u64, stream: &Stream) -> bool {
-        let mut conns = self.conns.lock().expect("connection registry poisoned");
-        if conns.len() >= self.max_connections {
-            return false;
-        }
-        conns.insert(id, stream.try_clone().ok());
-        true
+impl Service for ServeState {
+    const WHO: &'static str = "mom3d-serve handler";
+    // Shard traffic belongs to the mom3d-shard coordinator; a worker
+    // pointed at the wrong endpoint gets a typed error (and a usable
+    // connection), not a hang or a close.
+    const REDIRECT: &'static str =
+        "shard opcodes are served by the mom3d-shard coordinator, not mom3d-serve";
+    /// A connection idle this long is reclaimed (the client reconnects
+    /// on its next request).
+    const IDLE_TIMEOUT: Duration = Duration::from_secs(300);
+    const WRITE_TIMEOUT: Duration = Duration::from_secs(30);
+
+    fn core(&self) -> &Core {
+        &self.core
     }
 
-    /// Removes a finished connection from the registry and wakes the
-    /// drain waiter.
-    fn release_conn(&self, id: u64) {
-        let mut conns = self.conns.lock().expect("connection registry poisoned");
-        conns.remove(&id);
-        drop(conns);
-        self.conns_changed.notify_all();
-    }
-
-    /// Waits up to `timeout` for every handler to exit. Returns whether
-    /// the registry is empty.
-    fn drain_conns(&self, timeout: Duration) -> bool {
-        let deadline = Instant::now() + timeout;
-        let mut conns = self.conns.lock().expect("connection registry poisoned");
-        while !conns.is_empty() {
-            let left = deadline.saturating_duration_since(Instant::now());
-            if left.is_zero() {
-                return false;
+    fn handle(&self, _conn_id: u64, stream: &mut Stream, req: Request) -> Option<bool> {
+        self.counters.requests.fetch_add(1, Ordering::Relaxed);
+        Some(match req {
+            Request::Ping => respond(stream, &Response::Pong(self.hello)).is_ok(),
+            Request::Stats => respond(stream, &Response::Stats(self.counters_snapshot())).is_ok(),
+            Request::Shutdown => {
+                let _ = respond(stream, &Response::Bye);
+                self.begin_shutdown();
+                false
             }
-            let (guard, _) = self
-                .conns_changed
-                .wait_timeout(conns, left)
-                .expect("connection registry poisoned");
-            conns = guard;
-        }
-        true
-    }
-
-    /// Tears down every registered connection so handlers parked in a
-    /// blocking read observe EOF and exit.
-    fn force_close_conns(&self) {
-        let conns = self.conns.lock().expect("connection registry poisoned");
-        for stream in conns.values().flatten() {
-            stream.shutdown_all();
-        }
-    }
-
-    /// Flips the shutdown latch and wakes everything that might be
-    /// parked: the worker pool (condvar) and the accept loop (a
-    /// throwaway self-connection, since blocking `accept` has no other
-    /// wake-up).
-    fn begin_shutdown(&self) {
-        self.shutdown.store(true, Ordering::SeqCst);
-        self.queue_ready.notify_all();
-        let _ = self.endpoint.connect();
-    }
-}
-
-/// Unregisters a connection even when its handler panics.
-struct ConnGuard<'a> {
-    state: &'a ServeState,
-    id: u64,
-}
-
-impl Drop for ConnGuard<'_> {
-    fn drop(&mut self) {
-        self.state.release_conn(self.id);
-    }
-}
-
-/// Unlinks the unix-socket file when the accept loop exits — by any
-/// path, panic included (the guard lives on the accept thread's stack,
-/// so unwinding runs it). [`ServerHandle::join`] removes the file again
-/// afterwards; both removals are idempotent.
-struct SocketGuard(Option<PathBuf>);
-
-impl SocketGuard {
-    fn new(endpoint: &Endpoint) -> SocketGuard {
-        SocketGuard(match endpoint {
-            Endpoint::Unix(path) => Some(path.clone()),
-            Endpoint::Tcp(_) => None,
+            Request::Sim(key) => match self.shed_reply() {
+                Some(reply) => respond(stream, &reply).is_ok(),
+                None => serve_sim(self, stream, key),
+            },
+            Request::Sweep(cells) => match self.shed_reply() {
+                Some(reply) => respond(stream, &reply).is_ok(),
+                None => serve_sweep(self, stream, cells),
+            },
+            Request::ShardClaim { .. } | Request::CellDone { .. } | Request::ShardFin { .. } => {
+                return None
+            }
         })
     }
-}
 
-impl Drop for SocketGuard {
-    fn drop(&mut self) {
-        if let Some(path) = &self.0 {
-            let _ = std::fs::remove_file(path);
-        }
+    /// Wakes the worker pool. Taking the queue lock first means no
+    /// worker can be between its latch check and its wait.
+    fn wake(&self) {
+        drop(self.queue.lock().expect("job queue poisoned"));
+        self.queue_ready.notify_all();
     }
 }
 
@@ -390,7 +311,7 @@ fn worker_loop(state: &ServeState) {
                 if let Some(key) = queue.pop_front() {
                     break key;
                 }
-                if state.shutdown.load(Ordering::SeqCst) {
+                if state.core.shutting_down() {
                     return; // drained + shutting down
                 }
                 queue = state.queue_ready.wait(queue).expect("job queue poisoned");
@@ -398,11 +319,6 @@ fn worker_loop(state: &ServeState) {
         };
         run_cell(state, key);
     }
-}
-
-fn respond(stream: &mut Stream, resp: &Response) -> io::Result<()> {
-    let (opcode, payload) = resp.encode();
-    write_frame(stream, opcode, &payload)
 }
 
 /// Waits (deadline-bounded) for `key` to publish, mapping abandonment
@@ -525,113 +441,6 @@ fn serve_sweep(state: &ServeState, stream: &mut Stream, cells: Vec<SimKey>) -> b
     respond(stream, &Response::Done { results }).is_ok()
 }
 
-fn handle_connection(state: &Arc<ServeState>, conn_id: u64, mut stream: Stream) {
-    let _guard = ConnGuard { state, id: conn_id };
-    state.counters.connections.fetch_add(1, Ordering::Relaxed);
-    loop {
-        // Patient between requests (IDLE_TIMEOUT), impatient mid-frame:
-        // a corrupted length prefix cannot park this handler for the
-        // full idle window.
-        let frame = match read_frame_deadlined(&mut stream, Some(IDLE_TIMEOUT)) {
-            Ok(frame) => frame,
-            Err(FrameError::Closed) => return, // clean disconnect
-            Err(err @ FrameError::TimedOut) => {
-                // Idle past the read deadline: reclaim the handler. Not
-                // a protocol error — the client simply went quiet.
-                state.warnings.note("mom3d-serve handler", &err);
-                return;
-            }
-            Err(err @ FrameError::Io(_)) => {
-                // Died mid-frame (truncated frame / reset); nothing to
-                // reply to.
-                state.counters.protocol_errors.fetch_add(1, Ordering::Relaxed);
-                state.warnings.note("mom3d-serve handler", &err);
-                return;
-            }
-            Err(err) => {
-                // Framing is unrecoverable: report once, close. The
-                // stderr warning is once-per-class so a garbage-spewing
-                // client cannot flood the log.
-                state.counters.protocol_errors.fetch_add(1, Ordering::Relaxed);
-                state.warnings.note("mom3d-serve handler", &err);
-                let _ = respond(
-                    &mut stream,
-                    &Response::Error { code: ERR_PROTOCOL, message: err.to_string() },
-                );
-                return;
-            }
-        };
-        let req = match Request::decode(&frame) {
-            Ok(req) => req,
-            Err(e) => {
-                // Well-framed but bad payload: the connection stays
-                // usable.
-                let reply = Response::Error { code: e.code, message: e.message };
-                if respond(&mut stream, &reply).is_err() {
-                    return;
-                }
-                continue;
-            }
-        };
-        state.counters.requests.fetch_add(1, Ordering::Relaxed);
-        let alive = match req {
-            Request::Ping => respond(&mut stream, &Response::Pong(state.hello)).is_ok(),
-            Request::Stats => {
-                respond(&mut stream, &Response::Stats(state.counters_snapshot())).is_ok()
-            }
-            Request::Shutdown => {
-                let _ = respond(&mut stream, &Response::Bye);
-                state.begin_shutdown();
-                false
-            }
-            Request::Sim(key) => match state.shed_reply() {
-                Some(reply) => respond(&mut stream, &reply).is_ok(),
-                None => serve_sim(state, &mut stream, key),
-            },
-            Request::Sweep(cells) => match state.shed_reply() {
-                Some(reply) => respond(&mut stream, &reply).is_ok(),
-                None => serve_sweep(state, &mut stream, cells),
-            },
-            // Shard traffic belongs to the mom3d-shard coordinator; a
-            // worker pointed at the wrong endpoint gets a typed error
-            // (and a usable connection), not a hang or a close.
-            Request::ShardClaim { .. } | Request::CellDone { .. } | Request::ShardFin { .. } => {
-                let reply = Response::Error {
-                    code: ERR_UNSUPPORTED,
-                    message: "shard opcodes are served by the mom3d-shard coordinator, \
-                              not mom3d-serve"
-                        .into(),
-                };
-                respond(&mut stream, &reply).is_ok()
-            }
-        };
-        if !alive {
-            return;
-        }
-    }
-}
-
-enum Listener {
-    Tcp(TcpListener),
-    Unix(UnixListener),
-}
-
-impl Listener {
-    fn accept(&self) -> io::Result<Stream> {
-        match self {
-            Listener::Tcp(l) => {
-                let (stream, _) = l.accept()?;
-                let _ = stream.set_nodelay(true);
-                Ok(Stream::Tcp(stream))
-            }
-            Listener::Unix(l) => {
-                let (stream, _) = l.accept()?;
-                Ok(Stream::Unix(stream))
-            }
-        }
-    }
-}
-
 /// A running server. Dropping the handle does **not** stop the server —
 /// call [`ServerHandle::wait`] (block until a client sends `SHUTDOWN`)
 /// or [`ServerHandle::shutdown`] (stop it now).
@@ -646,7 +455,7 @@ impl ServerHandle {
     /// The endpoint the server actually listens on (for `tcp:…:0`, the
     /// kernel-assigned port is resolved in).
     pub fn endpoint(&self) -> &Endpoint {
-        &self.state.endpoint
+        &self.state.core.endpoint
     }
 
     /// Cumulative counter snapshot (same numbers a `STATS` request
@@ -655,24 +464,20 @@ impl ServerHandle {
         self.state.counters_snapshot()
     }
 
-    fn join(mut self) {
+
+    /// Blocks until the server shuts down (a client sent `SHUTDOWN`),
+    /// then joins the worker pool and drains the open connections.
+    pub fn wait(mut self) {
         if let Some(accept) = self.accept.take() {
             let _ = accept.join();
         }
         for worker in self.workers.drain(..) {
             let _ = worker.join();
         }
-        // Graceful drain: with the worker pool joined, every scheduled
-        // cell is published — give in-flight handlers a moment to
-        // finish streaming, then force-close whatever is still parked
-        // in a blocking read and wait for those handlers to exit.
-        if !self.state.drain_conns(DRAIN_GRACE) {
-            self.state.force_close_conns();
-            let _ = self.state.drain_conns(DRAIN_FORCE_WAIT);
-        }
-        if let Endpoint::Unix(path) = &self.state.endpoint {
-            let _ = std::fs::remove_file(path);
-        }
+        // With the worker pool joined, every scheduled cell is
+        // published: the drain only waits for handlers to finish
+        // streaming.
+        self.state.core.drain();
         // Flush the final counter/memo-stat snapshot so a drained
         // server leaves a trace of what it did.
         let c = self.state.counters_snapshot();
@@ -693,17 +498,11 @@ impl ServerHandle {
         );
     }
 
-    /// Blocks until the server shuts down (a client sent `SHUTDOWN`),
-    /// then joins the worker pool.
-    pub fn wait(self) {
-        self.join();
-    }
-
     /// Stops the server: no new connections, the worker pool drains its
     /// queue (publishing every scheduled cell) and exits.
     pub fn shutdown(self) {
         self.state.begin_shutdown();
-        self.join();
+        self.wait();
     }
 }
 
@@ -721,17 +520,7 @@ pub fn serve(endpoint: Endpoint, config: ServeConfig) -> io::Result<ServerHandle
     let mut runner = if config.small { Runner::small(config.seed) } else { Runner::new(config.seed) };
     runner = runner.with_cache(config.cache);
 
-    let (listener, endpoint) = match endpoint {
-        Endpoint::Tcp(addr) => {
-            let listener = TcpListener::bind(addr.as_str())?;
-            let actual = listener.local_addr()?.to_string();
-            (Listener::Tcp(listener), Endpoint::Tcp(actual))
-        }
-        Endpoint::Unix(path) => {
-            let _ = std::fs::remove_file(&path);
-            (Listener::Unix(UnixListener::bind(&path)?), Endpoint::Unix(path))
-        }
-    };
+    let (listener, endpoint) = server::bind(endpoint)?;
 
     let workloads = MemoTable::new();
     let built = if config.prebuild {
@@ -756,28 +545,17 @@ pub fn serve(endpoint: Endpoint, config: ServeConfig) -> io::Result<ServerHandle
         threads: threads.min(u32::MAX as usize) as u32,
     };
     let state = Arc::new(ServeState {
+        core: Core::new(endpoint, config.max_connections, config.chaos, config.accept_panic_after),
         runner,
         hello,
         workloads,
         memo: MemoTable::new(),
         queue: Mutex::new(VecDeque::new()),
         queue_ready: Condvar::new(),
-        shutdown: AtomicBool::new(false),
         counters: Counters::default(),
-        endpoint,
         queue_limit: if config.queue_limit == 0 { DEFAULT_QUEUE_LIMIT } else { config.queue_limit },
-        max_connections: if config.max_connections == 0 {
-            DEFAULT_CONNECTION_CAP
-        } else {
-            config.max_connections
-        },
-        chaos: config.chaos,
-        conns: Mutex::new(HashMap::new()),
-        conns_changed: Condvar::new(),
-        warnings: FrameWarnings::new(),
     });
     state.counters.workloads_built.store(built, Ordering::Relaxed);
-    let accept_panic_after = config.accept_panic_after;
 
     let workers: Vec<JoinHandle<()>> = (0..threads)
         .map(|i| {
@@ -788,73 +566,7 @@ pub fn serve(endpoint: Endpoint, config: ServeConfig) -> io::Result<ServerHandle
                 .expect("spawning a simulation worker")
         })
         .collect();
-
-    let accept = {
-        let state = Arc::clone(&state);
-        std::thread::Builder::new()
-            .name("mom3d-accept".into())
-            .spawn(move || {
-                // Owns the unix-socket unlink on *every* exit path of
-                // this thread — panic included.
-                let _socket_guard = SocketGuard::new(&state.endpoint);
-                let mut conn_seq: u64 = 0;
-                loop {
-                    if state.shutdown.load(Ordering::SeqCst) {
-                        break;
-                    }
-                    match listener.accept() {
-                        Ok(mut stream) => {
-                            if state.shutdown.load(Ordering::SeqCst) {
-                                break; // the shutdown self-connection
-                            }
-                            let conn_id = conn_seq;
-                            conn_seq += 1;
-                            if let Some(after) = accept_panic_after {
-                                if conn_seq >= after {
-                                    panic!("injected accept-loop panic (accept_panic_after)");
-                                }
-                            }
-                            if !state.admit(conn_id, &stream) {
-                                state.counters.refused_connections.fetch_add(1, Ordering::Relaxed);
-                                let reply = Response::Error {
-                                    code: ERR_OVERLOADED,
-                                    message: format!(
-                                        "connection cap ({}) reached; back off and retry",
-                                        state.max_connections
-                                    ),
-                                };
-                                let _ = respond(&mut stream, &reply);
-                                stream.shutdown_all();
-                                continue;
-                            }
-                            let stream = match &state.chaos {
-                                Some(chaos) => Stream::Chaos(Box::new(ChaosStream::wrap(
-                                    stream,
-                                    FaultPlan::new(chaos, conn_id),
-                                ))),
-                                None => stream,
-                            };
-                            stream.set_read_timeout(Some(IDLE_TIMEOUT));
-                            stream.set_write_timeout(Some(WRITE_TIMEOUT));
-                            let handler_state = Arc::clone(&state);
-                            let spawned = std::thread::Builder::new()
-                                .name("mom3d-conn".into())
-                                .spawn(move || handle_connection(&handler_state, conn_id, stream));
-                            if spawned.is_err() {
-                                // The handler never ran; its ConnGuard
-                                // never will either.
-                                state.release_conn(conn_id);
-                            }
-                        }
-                        Err(_) if state.shutdown.load(Ordering::SeqCst) => break,
-                        Err(e) => {
-                            eprintln!("warning: accept failed: {e}");
-                        }
-                    }
-                }
-            })
-            .expect("spawning the accept loop")
-    };
+    let accept = server::spawn_accept(Arc::clone(&state), listener);
 
     Ok(ServerHandle { state, accept: Some(accept), workers })
 }
@@ -864,6 +576,7 @@ mod tests {
     use super::*;
     use crate::protocol::{read_frame, Client, RetryClient, RetryPolicy};
     use mom3d_cpu::MemorySystemKind;
+    use std::time::Instant;
 
     fn test_config() -> ServeConfig {
         ServeConfig { seed: 5, small: true, threads: 2, ..Default::default() }

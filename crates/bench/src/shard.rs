@@ -30,8 +30,11 @@
 //! * **Failure containment.** A worker that dies mid-shard only
 //!   returns its outstanding cells to the queue (and is respawned, with
 //!   a bounded budget, when the coordinator owns the process). Frame
-//!   damage costs one connection after an [`ERR_PROTOCOL`] reply;
+//!   damage costs one connection after an
+//!   [`ERR_PROTOCOL`](crate::protocol::ERR_PROTOCOL) reply;
 //!   non-shard requests get [`ERR_UNSUPPORTED`] on a usable connection.
+//!   Binding, connections and the drain on shutdown are the server core
+//!   shared with `mom3d-serve` (`crate::server`).
 //! * **Grant leases.** Every claim and `CELL_DONE` is a heartbeat; a
 //!   connection holding a grant that goes silent past the lease
 //!   (`DEFAULT_LEASE`, configurable via [`ShardConfig::lease`]) has
@@ -40,14 +43,13 @@
 //!   ([`crate::faults::Backoff`]) and re-claim; first-completion-wins
 //!   makes the overlap harmless.
 
-use crate::faults::{Backoff, ChaosConfig, ChaosStream, FaultPlan, FrameWarnings};
+use crate::faults::{Backoff, ChaosConfig};
 use crate::manifest::{self, Manifest};
 use crate::protocol::{
-    read_frame_deadlined, write_frame, Client, Endpoint, FrameError, Hello, Request, Response,
-    Stream,
-    ERR_PROTOCOL, ERR_UNSUPPORTED, MAX_SWEEP_CELLS,
+    Client, Endpoint, Hello, Request, Response, Stream, ERR_UNSUPPORTED, MAX_SWEEP_CELLS,
 };
 use crate::runner::{Runner, SimKey, WorkloadTiming};
+use crate::server::{self, respond, Core, Service};
 use crate::stats;
 use crate::sweep::{self, CellResult, Sharding, SweepReport, WorkerStats};
 use crate::WorkloadCache;
@@ -55,11 +57,8 @@ use mom3d_cpu::Metrics;
 use mom3d_kernels::{IsaVariant, WorkloadKind};
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::io;
-use std::net::TcpListener;
-use std::os::unix::net::UnixListener;
 use std::path::PathBuf;
 use std::process::{Child, Command};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
@@ -71,15 +70,6 @@ const RESPAWN_LIMIT: u32 = 5;
 /// this has its grant requeued. Generous — `CELL_DONE` arrives per
 /// cell, so any live worker refreshes its lease far more often.
 const DEFAULT_LEASE: Duration = Duration::from_secs(120);
-
-/// Coordinator-handler read deadline. Workers are silent only while
-/// simulating one cell, so this is sized like the lease, not like a
-/// request/response gap.
-const HANDLER_IDLE_TIMEOUT: Duration = Duration::from_secs(600);
-
-/// Coordinator-handler write deadline (grants and FIN acks are small;
-/// a worker that never drains its socket is dead).
-const HANDLER_WRITE_TIMEOUT: Duration = Duration::from_secs(30);
 
 /// Bound on consecutive reconnect-and-no-progress sessions before a
 /// worker gives up (guards against retry-looping at a dead or
@@ -118,8 +108,8 @@ pub struct ShardConfig {
     /// sweep. Claims and `CELL_DONE`s are the heartbeats.
     pub lease: Duration,
     /// Coordinator-side fault injection: wrap every accepted worker
-    /// connection in a seeded [`ChaosStream`] (lane = connection
-    /// ordinal).
+    /// connection in a seeded [`ChaosStream`](crate::faults::ChaosStream)
+    /// (lane = connection ordinal).
     pub chaos: Option<ChaosConfig>,
 }
 
@@ -179,6 +169,7 @@ struct Queue {
 }
 
 struct CoordState {
+    core: Core,
     queue: Mutex<Queue>,
     /// Notified on every completion, requeue and shutdown — wakes both
     /// claim-waiters and the supervision loop.
@@ -187,11 +178,7 @@ struct CoordState {
     grid: HashSet<SimKey>,
     batch: usize,
     hello: Hello,
-    shutdown: AtomicBool,
-    endpoint: Endpoint,
     lease: Duration,
-    chaos: Option<ChaosConfig>,
-    warnings: FrameWarnings,
 }
 
 impl CoordState {
@@ -241,11 +228,6 @@ impl CoordState {
     }
 }
 
-fn respond(stream: &mut Stream, resp: &Response) -> io::Result<()> {
-    let (opcode, payload) = resp.encode();
-    write_frame(stream, opcode, &payload)
-}
-
 /// Serves one `SHARD_CLAIM`: pop a pending batch, else steal half of
 /// the largest outstanding grant, else wait for either to become
 /// possible. Empty return = the sweep is complete (or shutting down)
@@ -258,7 +240,7 @@ fn claim(state: &CoordState, conn_id: u64, worker: u32) -> Vec<SimKey> {
         WorkerAccount { cells: 0, walls: Vec::new(), first: now, last: now }
     });
     loop {
-        if q.done.len() >= state.total || state.shutdown.load(Ordering::SeqCst) {
+        if q.done.len() >= state.total || state.core.shutting_down() {
             return Vec::new();
         }
         if !q.pending.is_empty() {
@@ -339,132 +321,66 @@ fn record(state: &CoordState, conn_id: u64, key: SimKey, wall_ns: u64, metrics: 
     state.changed.notify_all();
 }
 
-/// Returns a dead connection's unfinished cells to the queue.
-fn release(state: &CoordState, conn_id: u64) {
-    let mut q = state.queue.lock().expect("shard queue poisoned");
-    q.conn_worker.remove(&conn_id);
-    q.activity.remove(&conn_id);
-    if let Some(cells) = q.granted.remove(&conn_id) {
-        for key in cells.into_iter().rev() {
-            if !q.done.contains_key(&key) {
-                q.pending.push_front(key);
-            }
-        }
-    }
-    drop(q);
-    state.changed.notify_all();
-}
+impl Service for CoordState {
+    const WHO: &'static str = "mom3d-shard coordinator";
+    const REDIRECT: &'static str =
+        "simulation requests are served by mom3d-serve; this is the mom3d-shard coordinator";
+    /// Workers are silent only while simulating one cell, so this is
+    /// sized like the lease, not like a request/response gap.
+    const IDLE_TIMEOUT: Duration = Duration::from_secs(600);
+    /// Grants and FIN acks are small; a worker that never drains its
+    /// socket is dead.
+    const WRITE_TIMEOUT: Duration = Duration::from_secs(30);
 
-fn handle_connection(state: &Arc<CoordState>, conn_id: u64, mut stream: Stream) {
-    loop {
-        // Patient between claims, impatient mid-frame: a bit-flipped
-        // length prefix must not hold this handler (and its granted
-        // cells) hostage for the idle window — the lease would recover
-        // the cells, but only after burning its whole term.
-        let frame = match read_frame_deadlined(&mut stream, Some(HANDLER_IDLE_TIMEOUT)) {
-            Ok(frame) => frame,
-            Err(FrameError::Closed) => break,
-            Err(err @ (FrameError::TimedOut | FrameError::Io(_))) => {
-                // Deadline expiry or mid-frame death: drop the
-                // connection (its cells are requeued below). Warnings
-                // are once-per-class, so a flapping worker cannot flood
-                // stderr.
-                state.warnings.note("mom3d-shard coordinator", &err);
-                break;
-            }
-            Err(err) => {
-                // Framing is unrecoverable: one typed reply, then close
-                // (and the cells go back to the queue below).
-                state.warnings.note("mom3d-shard coordinator", &err);
-                let _ = respond(
-                    &mut stream,
-                    &Response::Error { code: ERR_PROTOCOL, message: err.to_string() },
-                );
-                break;
-            }
-        };
-        let req = match Request::decode(&frame) {
-            Ok(req) => req,
-            Err(e) => {
-                // Well-framed but bad payload: typed error, connection
-                // stays usable.
-                let reply = Response::Error { code: e.code, message: e.message };
-                if respond(&mut stream, &reply).is_err() {
-                    break;
-                }
-                continue;
-            }
-        };
-        state.touch(conn_id);
-        let alive = match req {
+    fn core(&self) -> &Core {
+        &self.core
+    }
+
+    fn handle(&self, conn_id: u64, stream: &mut Stream, req: Request) -> Option<bool> {
+        self.touch(conn_id);
+        Some(match req {
             Request::ShardClaim { worker } => {
-                let cells = claim(state, conn_id, worker);
-                let grant = Response::ShardGrant {
-                    seed: state.hello.seed,
-                    small: state.hello.small,
-                    cells,
-                };
-                respond(&mut stream, &grant).is_ok()
+                let cells = claim(self, conn_id, worker);
+                let grant =
+                    Response::ShardGrant { seed: self.hello.seed, small: self.hello.small, cells };
+                respond(stream, &grant).is_ok()
             }
             Request::CellDone { key, wall_ns, metrics } => {
                 // Fire-and-forget: no reply, the worker is already
                 // simulating the next cell.
-                record(state, conn_id, key, wall_ns, metrics);
+                record(self, conn_id, key, wall_ns, metrics);
                 true
             }
             Request::ShardFin { completed } => {
-                respond(&mut stream, &Response::Done { results: completed }).is_ok()
+                respond(stream, &Response::Done { results: completed }).is_ok()
             }
-            Request::Ping => respond(&mut stream, &Response::Pong(state.hello)).is_ok(),
-            Request::Sim(_) | Request::Sweep(_) | Request::Stats | Request::Shutdown => {
-                let reply = Response::Error {
-                    code: ERR_UNSUPPORTED,
-                    message: "simulation requests are served by mom3d-serve; \
-                              this is the mom3d-shard coordinator"
-                        .into(),
-                };
-                respond(&mut stream, &reply).is_ok()
-            }
-        };
-        if !alive {
-            break;
-        }
+            Request::Ping => respond(stream, &Response::Pong(self.hello)).is_ok(),
+            Request::Sim(_) | Request::Sweep(_) | Request::Stats | Request::Shutdown => return None,
+        })
     }
-    release(state, conn_id);
-}
 
-enum Listener {
-    Tcp(TcpListener),
-    Unix(UnixListener),
-}
-
-impl Listener {
-    fn accept(&self) -> io::Result<Stream> {
-        match self {
-            Listener::Tcp(l) => {
-                let (stream, _) = l.accept()?;
-                let _ = stream.set_nodelay(true);
-                Ok(Stream::Tcp(stream))
-            }
-            Listener::Unix(l) => {
-                let (stream, _) = l.accept()?;
-                Ok(Stream::Unix(stream))
-            }
-        }
+    /// Wakes claim waiters (they reply with empty grants) and the
+    /// supervision loop. Taking the queue lock first means no claim can
+    /// be between its latch check and its wait.
+    fn wake(&self) {
+        drop(self.queue.lock().expect("shard queue poisoned"));
+        self.changed.notify_all();
     }
-}
 
-fn bind(endpoint: Endpoint) -> io::Result<(Listener, Endpoint)> {
-    match endpoint {
-        Endpoint::Tcp(addr) => {
-            let listener = TcpListener::bind(addr.as_str())?;
-            let actual = listener.local_addr()?.to_string();
-            Ok((Listener::Tcp(listener), Endpoint::Tcp(actual)))
+    /// A dead connection's unfinished cells go back to the queue.
+    fn closed(&self, conn_id: u64) {
+        let mut q = self.queue.lock().expect("shard queue poisoned");
+        q.conn_worker.remove(&conn_id);
+        q.activity.remove(&conn_id);
+        if let Some(cells) = q.granted.remove(&conn_id) {
+            for key in cells.into_iter().rev() {
+                if !q.done.contains_key(&key) {
+                    q.pending.push_front(key);
+                }
+            }
         }
-        Endpoint::Unix(path) => {
-            let _ = std::fs::remove_file(&path);
-            Ok((Listener::Unix(UnixListener::bind(&path)?), Endpoint::Unix(path)))
-        }
+        drop(q);
+        self.changed.notify_all();
     }
 }
 
@@ -641,13 +557,15 @@ pub fn coordinate(
     let fresh = pending.len();
     let batch = effective_batch(config.batch, fresh, config.workers);
 
-    let (listener, endpoint) = bind(endpoint)?;
+    let (listener, endpoint) = server::bind(endpoint)?;
     println!(
         "mom3d-shard listening on {endpoint}; {fresh} of {total} cell(s) to simulate \
          ({resumed_cells} resumed)"
     );
 
     let state = Arc::new(CoordState {
+        // Cap 0: the coordinator takes the default connection cap.
+        core: Core::new(endpoint.clone(), 0, config.chaos, None),
         queue: Mutex::new(Queue {
             pending,
             granted: HashMap::new(),
@@ -667,50 +585,9 @@ pub fn coordinate(
         grid: unique.iter().copied().collect(),
         batch,
         hello: Hello { seed: config.seed, small: config.small, threads: 0 },
-        shutdown: AtomicBool::new(false),
-        endpoint: endpoint.clone(),
         lease: if config.lease.is_zero() { DEFAULT_LEASE } else { config.lease },
-        chaos: config.chaos,
-        warnings: FrameWarnings::new(),
     });
-
-    let accept = {
-        let state = Arc::clone(&state);
-        std::thread::Builder::new()
-            .name("mom3d-shard-accept".into())
-            .spawn(move || {
-                let conn_seq = AtomicU64::new(0);
-                loop {
-                    if state.shutdown.load(Ordering::SeqCst) {
-                        break;
-                    }
-                    match listener.accept() {
-                        Ok(stream) => {
-                            if state.shutdown.load(Ordering::SeqCst) {
-                                break; // the shutdown self-connection
-                            }
-                            let conn_id = conn_seq.fetch_add(1, Ordering::Relaxed);
-                            let stream = match &state.chaos {
-                                Some(chaos) => Stream::Chaos(Box::new(ChaosStream::wrap(
-                                    stream,
-                                    FaultPlan::new(chaos, conn_id),
-                                ))),
-                                None => stream,
-                            };
-                            stream.set_read_timeout(Some(HANDLER_IDLE_TIMEOUT));
-                            stream.set_write_timeout(Some(HANDLER_WRITE_TIMEOUT));
-                            let state = Arc::clone(&state);
-                            let _ = std::thread::Builder::new()
-                                .name("mom3d-shard-conn".into())
-                                .spawn(move || handle_connection(&state, conn_id, stream));
-                        }
-                        Err(_) if state.shutdown.load(Ordering::SeqCst) => break,
-                        Err(e) => eprintln!("warning: accept failed: {e}"),
-                    }
-                }
-            })
-            .expect("spawning the shard accept loop")
-    };
+    let accept = server::spawn_accept(Arc::clone(&state), listener);
 
     let mut children: Vec<ChildSlot> = (0..config.workers as u32)
         .map(|id| ChildSlot { id, child: None, respawns: RESPAWN_LIMIT })
@@ -735,16 +612,12 @@ pub fn coordinate(
     }
 
     // One shutdown path for success and failure: latch, wake claim
-    // waiters (they reply with empty grants), unblock the accept loop
-    // with a self-connection, then collect the pieces.
-    state.shutdown.store(true, Ordering::SeqCst);
-    state.changed.notify_all();
-    let _ = state.endpoint.connect();
+    // waiters (they reply with empty grants) and the accept loop, reap
+    // the worker processes, then drain the open connections.
+    state.begin_shutdown();
     let _ = accept.join();
     reap(&mut children);
-    if let Endpoint::Unix(path) = &state.endpoint {
-        let _ = std::fs::remove_file(path);
-    }
+    state.core.drain();
     result?;
 
     let q = state.queue.lock().expect("shard queue poisoned");
@@ -831,7 +704,8 @@ pub struct WorkerConfig {
     /// worker retires.
     pub stall_for: Duration,
     /// Client-side fault injection: wrap every dialed connection in a
-    /// seeded [`ChaosStream`] (lane = dial ordinal).
+    /// seeded [`ChaosStream`](crate::faults::ChaosStream) (lane = dial
+    /// ordinal).
     pub chaos: Option<ChaosConfig>,
 }
 
@@ -857,21 +731,8 @@ fn dial(
 ) -> io::Result<Client> {
     let mut last: Option<io::Error> = None;
     for _ in 0..attempts {
-        match endpoint.connect() {
-            Ok(stream) => {
-                let lane = *conn_seq;
-                *conn_seq += 1;
-                let stream = match &config.chaos {
-                    Some(chaos) => Stream::Chaos(Box::new(ChaosStream::wrap(
-                        stream,
-                        FaultPlan::new(chaos, lane),
-                    ))),
-                    None => stream,
-                };
-                let client = Client::from_stream(stream);
-                client.set_io_timeout(Some(WORKER_IO_TIMEOUT));
-                return Ok(client);
-            }
+        match Client::dial(endpoint, config.chaos.as_ref(), conn_seq, Some(WORKER_IO_TIMEOUT)) {
+            Ok(client) => return Ok(client),
             Err(e) => {
                 last = Some(e);
                 std::thread::sleep(Duration::from_millis(50));

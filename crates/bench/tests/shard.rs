@@ -13,6 +13,7 @@ use mom3d_bench::protocol::{
     read_frame, write_frame, Client, Endpoint, Request, Response, ERR_MALFORMED,
     ERR_PROTOCOL, ERR_UNSUPPORTED, OP_CELL_DONE,
 };
+use mom3d_bench::shard::{coordinate, run_worker, ShardConfig, WorkerConfig};
 use mom3d_bench::{sweep, Runner, SimKey};
 use mom3d_cpu::MemorySystemKind;
 use mom3d_kernels::{IsaVariant, WorkloadKind};
@@ -423,4 +424,49 @@ fn protocol_abuse_costs_at_most_the_abusers_connection() {
     for p in [&sock, &json_path] {
         let _ = std::fs::remove_file(p);
     }
+}
+
+#[test]
+fn an_idle_connection_is_closed_by_the_time_coordinate_returns() {
+    // The coordinator drains on shutdown like mom3d-serve: a connection
+    // that went quiet after one request is force-closed before
+    // coordinate() returns, instead of parking a handler thread (and the
+    // coordinator state it holds) for the 600 s idle deadline.
+    let sock = tmp("idle-drain", "sock");
+    let endpoint = Endpoint::Unix(sock.clone());
+    let coordinator = {
+        let endpoint = endpoint.clone();
+        std::thread::spawn(move || {
+            let config = ShardConfig { seed: SEED, small: true, workers: 0, ..Default::default() };
+            coordinate(endpoint, &sweep::full_grid(), &config)
+        })
+    };
+    let deadline = Instant::now() + Duration::from_secs(10);
+    let mut idle = loop {
+        match Client::connect(&endpoint) {
+            Ok(client) => break client,
+            Err(e) => {
+                assert!(Instant::now() < deadline, "the coordinator never listened: {e}");
+                std::thread::sleep(Duration::from_millis(5));
+            }
+        }
+    };
+    assert!(matches!(idle.round_trip(&Request::Ping).unwrap(), Response::Pong(_)));
+
+    let worker = {
+        let endpoint = endpoint.clone();
+        std::thread::spawn(move || {
+            run_worker(&endpoint, &WorkerConfig { threads: 1, ..Default::default() })
+        })
+    };
+    let report = coordinator.join().unwrap().expect("the sweep completes");
+    assert_eq!(report.fresh_cells(), sweep::full_grid().len());
+
+    let mut stream = idle.into_stream();
+    stream.set_read_timeout(Some(Duration::from_secs(5)));
+    let mut byte = [0u8; 1];
+    let read = stream.read(&mut byte);
+    assert!(matches!(read, Ok(0)), "the idle connection must read EOF, got {read:?}");
+    worker.join().unwrap().expect("the worker retires cleanly");
+    let _ = std::fs::remove_file(&sock);
 }
