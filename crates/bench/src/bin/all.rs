@@ -21,20 +21,14 @@
 //! workload build+verify — the hit/miss counters are printed on stderr
 //! and embedded in the JSON report.
 
-use mom3d_bench::cli::{parse_all_args, ALL_USAGE};
+use mom3d_bench::cli::{parse_all_args, parse_or_exit, ALL_USAGE};
 use mom3d_bench::{
     backend_matrix, fig10, fig11, fig3, fig6, fig7, fig9, sweep, table1, table2, table3, table4,
     Runner,
 };
 
 fn main() {
-    let args = match parse_all_args(std::env::args().skip(1)) {
-        Ok(args) => args,
-        Err(e) => {
-            eprintln!("error: {e}\n{ALL_USAGE}");
-            std::process::exit(2);
-        }
-    };
+    let args = parse_or_exit(parse_all_args, ALL_USAGE);
     let seed = args.seed();
     let mut r = if args.small { Runner::small(seed) } else { Runner::new(seed) };
     r = r.with_cache(args.cache());

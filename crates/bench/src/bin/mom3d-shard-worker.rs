@@ -15,17 +15,11 @@
 //! tests: the worker drops its connection and exits mid-shard after N
 //! cells, like a crash.
 
-use mom3d_bench::cli::{parse_shard_worker_args, SHARD_WORKER_USAGE};
+use mom3d_bench::cli::{parse_or_exit, parse_shard_worker_args, SHARD_WORKER_USAGE};
 use mom3d_bench::shard::run_worker;
 
 fn main() {
-    let args = match parse_shard_worker_args(std::env::args().skip(1)) {
-        Ok(args) => args,
-        Err(e) => {
-            eprintln!("error: {e}\n{SHARD_WORKER_USAGE}");
-            std::process::exit(2);
-        }
-    };
+    let args = parse_or_exit(parse_shard_worker_args, SHARD_WORKER_USAGE);
     match run_worker(&args.endpoint, &args.config) {
         Ok(summary) => {
             eprintln!(

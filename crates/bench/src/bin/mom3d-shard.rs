@@ -10,6 +10,7 @@
 //!             [--grid full|extended] [--small] [--manifest PATH]
 //!             [--resume] [--json PATH] [--cache-dir PATH]
 //!             [--tcp ADDR | --unix PATH]
+//!             [--chaos-seed N] [--chaos-profile P]
 //! ```
 //!
 //! Defaults: seed 7, 2 workers, the paper's full grid, `--tcp
@@ -18,22 +19,21 @@
 //! re-simulating them. `--workers 0` spawns nothing and serves
 //! externally-launched workers only.
 //!
+//! `--chaos-seed`/`--chaos-profile` wrap every accepted worker
+//! connection in the deterministic fault injector
+//! (`mom3d_bench::faults`). Either flag defaults the other (seed 1,
+//! profile `mixed`).
+//!
 //! A readiness line (`listening on …`) and one `spawned worker N
 //! (pid P)` line per worker are printed to stdout — the kill-resume
 //! tests and CI parse the pids to SIGKILL a worker mid-run.
 
-use mom3d_bench::cli::{parse_shard_args, SHARD_USAGE};
+use mom3d_bench::cli::{parse_or_exit, parse_shard_args, SHARD_USAGE};
 use mom3d_bench::shard::coordinate;
 use mom3d_bench::sweep;
 
 fn main() {
-    let args = match parse_shard_args(std::env::args().skip(1)) {
-        Ok(args) => args,
-        Err(e) => {
-            eprintln!("error: {e}\n{SHARD_USAGE}");
-            std::process::exit(2);
-        }
-    };
+    let args = parse_or_exit(parse_shard_args, SHARD_USAGE);
     let grid = if args.extended { sweep::extended_grid() } else { sweep::full_grid() };
     let report = match coordinate(args.endpoint(), &grid, &args.config) {
         Ok(report) => report,

@@ -24,18 +24,12 @@
 //! address containing `/` is a unix socket path, else `host:port`)
 //! after verifying the server runs the same seed and geometry.
 
-use mom3d_bench::cli::{parse_tune_args, TUNE_USAGE};
+use mom3d_bench::cli::{parse_or_exit, parse_tune_args, TUNE_USAGE};
 use mom3d_bench::tune::{tune, Executor, LocalExec, RemoteExec, TuneReport};
 use mom3d_bench::Runner;
 
 fn main() {
-    let args = match parse_tune_args(std::env::args().skip(1)) {
-        Ok(args) => args,
-        Err(e) => {
-            eprintln!("error: {e}\n{TUNE_USAGE}");
-            std::process::exit(2);
-        }
-    };
+    let args = parse_or_exit(parse_tune_args, TUNE_USAGE);
     let cfg = args.tune_config();
     let report: Result<TuneReport, String> = match &args.coordinator {
         Some(endpoint) => match RemoteExec::connect(endpoint, cfg.seed, cfg.small) {

@@ -1,22 +1,171 @@
-//! Argument parsing for the experiment binaries.
+//! Argument parsing for every experiment binary.
 //!
-//! `all` grew beyond the conventional single seed argument: thread
-//! count and JSON path used to be controllable only through the
-//! `MOM3D_SWEEP_THREADS`/`MOM3D_SWEEP_JSON` environment variables; the
-//! `--threads`/`--json` flags now expose them directly (flags win over
-//! the environment), `--all-backends` opts into sweeping every
-//! registered memory backend instead of just the paper grid, and
-//! `--cache-dir` points the cross-invocation workload-image cache at a
-//! directory (overriding `MOM3D_WORKLOAD_CACHE`).
+//! Each grammar is a table of rows read by one parser. A row holds a
+//! flag's name, the noun its "`--x` needs …" error asks for (none for a
+//! bare switch, which takes no value) and a setter that stores the
+//! value. The parser owns what every grammar repeats: fetching values,
+//! the `unknown flag` error, the optional positional seed and its
+//! errors. The setters share the `not an integer` wording through one
+//! helper. Fields several grammars have in common (the seed, the
+//! `--tcp`/`--unix` endpoint, `--cache-dir`, `--threads` and the
+//! `--chaos-seed`/`--chaos-profile` pair) are staged in a holder until
+//! the table has run, so each grammar's `parse_*_args` ends with the few
+//! checks that span fields, such as `--resume` needing `--manifest`.
 //!
-//! The figure/table binaries share the smaller `[SEED] [--cache-dir
-//! PATH]` grammar ([`parse_common_args`]).
+//! Flags win over the environment variables they shadow
+//! (`MOM3D_SWEEP_THREADS`, `MOM3D_SWEEP_JSON`, `MOM3D_WORKLOAD_CACHE`).
+//! Binaries call [`parse_or_exit`], which prints the error and the
+//! grammar's usage string and exits with status 2.
 
 use crate::cache::WorkloadCache;
 use crate::faults::ChaosConfig;
+use crate::load::LoadConfig;
 use crate::protocol::Endpoint;
+use crate::serve::ServeConfig;
 use crate::shard::{ShardConfig, WorkerConfig};
 use std::path::PathBuf;
+use std::str::FromStr;
+
+/// Parses this process's arguments (without the program name) with
+/// `parse`. On an error it prints the message and `usage` on stderr and
+/// exits with status 2.
+pub fn parse_or_exit<T>(
+    parse: impl FnOnce(std::iter::Skip<std::env::Args>) -> Result<T, String>,
+    usage: &str,
+) -> T {
+    parse(std::env::args().skip(1)).unwrap_or_else(|e| {
+        eprintln!("error: {e}\n{usage}");
+        std::process::exit(2)
+    })
+}
+
+/// One grammar row: the flag, the noun its "needs" error asks for
+/// (`None` for a switch) and the setter, called with the holder, the
+/// flag and its value (empty for a switch).
+type Flag<T> = (&'static str, Option<&'static str>, fn(&mut Staged<T>, &str, &str) -> SetResult);
+
+/// A setter's result: `Err` is the message printed above the usage.
+type SetResult = Result<(), String>;
+
+/// Whether a grammar takes the conventional positional seed.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Positional {
+    Seed,
+    Refused,
+}
+
+/// The parse state: the grammar's own fields plus the ones several
+/// grammars share, which wait here until the table has run.
+#[derive(Default)]
+struct Staged<T> {
+    args: T,
+    seed: Option<u64>,
+    endpoint: Option<Endpoint>,
+    cache_dir: Option<PathBuf>,
+    threads: Option<usize>,
+    chaos_seed: Option<u64>,
+    chaos_profile: Option<String>,
+}
+
+impl<T> Staged<T> {
+    /// The chaos pair, each flag defaulting the other.
+    fn chaos(&self) -> Result<Option<ChaosConfig>, String> {
+        ChaosConfig::from_cli(self.chaos_seed, self.chaos_profile.as_deref())
+    }
+}
+
+/// The one parser: runs `args` over the `flags` table.
+fn parse_grammar<T: Default>(
+    args: impl IntoIterator<Item = String>,
+    positional: Positional,
+    flags: &[Flag<T>],
+) -> Result<Staged<T>, String> {
+    let mut staged = Staged::default();
+    let mut it = args.into_iter();
+    while let Some(arg) = it.next() {
+        if let Some(&(name, needs, store)) = flags.iter().find(|row| row.0 == arg) {
+            let value = match needs {
+                Some(noun) => it.next().ok_or_else(|| format!("{name} needs {noun}"))?,
+                None => String::new(),
+            };
+            store(&mut staged, name, &value)?;
+        } else if arg.starts_with('-') {
+            return Err(format!("unknown flag {arg:?}"));
+        } else if positional == Positional::Refused {
+            return Err(format!("unexpected positional argument {arg:?}"));
+        } else if staged.seed.is_some() {
+            return Err(format!("unexpected second positional argument {arg:?}"));
+        } else {
+            staged.seed = Some(int("seed", &arg)?);
+        }
+    }
+    Ok(staged)
+}
+
+fn set<V>(slot: &mut V, value: V) -> SetResult {
+    *slot = value;
+    Ok(())
+}
+
+/// Fills `slot` once; a second value is the error `twice`.
+fn once<V>(slot: &mut Option<V>, value: V, twice: &str) -> SetResult {
+    if slot.is_some() {
+        return Err(twice.into());
+    }
+    set(slot, Some(value))
+}
+
+fn int<N: FromStr>(flag: &str, value: &str) -> Result<N, String> {
+    value.parse().map_err(|_| format!("{flag} {value:?}: not an integer"))
+}
+
+/// An integer that must not be zero; `why` ends the `--x 0: …` error.
+fn nonzero(flag: &str, value: &str, why: &str) -> Result<usize, String> {
+    match int(flag, value)? {
+        0 => Err(format!("{flag} 0: {why}")),
+        n => Ok(n),
+    }
+}
+
+fn cache_dir<T>() -> Flag<T> {
+    ("--cache-dir", Some("a path"), |s, _, v| set(&mut s.cache_dir, Some(v.into())))
+}
+
+/// `--threads N`, one rule for every binary: zero is not a thread
+/// count, so it warns and leaves the binary's default in place (the
+/// environment or every core for a sweep, every core for a server or
+/// worker).
+fn threads<T>() -> Flag<T> {
+    ("--threads", Some("a value"), |s, f, v| {
+        let n = int(f, v)?;
+        if n == 0 {
+            eprintln!("warning: --threads 0 is not a thread count; using the default");
+        }
+        set(&mut s.threads, (n > 0).then_some(n))
+    })
+}
+
+const TWO_ENDPOINTS: &str = "at most one of --tcp/--unix";
+
+fn tcp<T>() -> Flag<T> {
+    ("--tcp", Some("an address"), |s, _, v| {
+        once(&mut s.endpoint, Endpoint::Tcp(v.into()), TWO_ENDPOINTS)
+    })
+}
+
+fn unix<T>() -> Flag<T> {
+    ("--unix", Some("a path"), |s, _, v| {
+        once(&mut s.endpoint, Endpoint::Unix(v.into()), TWO_ENDPOINTS)
+    })
+}
+
+fn chaos_seed<T>() -> Flag<T> {
+    ("--chaos-seed", Some("a value"), |s, f, v| set(&mut s.chaos_seed, Some(int(f, v)?)))
+}
+
+fn chaos_profile<T>() -> Flag<T> {
+    ("--chaos-profile", Some("a profile"), |s, _, v| set(&mut s.chaos_profile, Some(v.into())))
+}
 
 /// Parsed `all` arguments.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
@@ -81,53 +230,14 @@ pub fn parse_all_args<I>(args: I) -> Result<AllArgs, String>
 where
     I: IntoIterator<Item = String>,
 {
-    let mut parsed = AllArgs::default();
-    let mut it = args.into_iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--threads" => {
-                let v = it.next().ok_or("--threads needs a value")?;
-                let n: usize =
-                    v.parse().map_err(|_| format!("--threads {v:?}: not an integer"))?;
-                if n == 0 {
-                    // Same policy as MOM3D_SWEEP_THREADS=0: zero is not
-                    // a thread count, so warn and fall back to the
-                    // environment/default instead of erroring — the two
-                    // knobs configure the same thing and must not
-                    // diverge.
-                    eprintln!(
-                        "warning: --threads 0 is not a thread count; \
-                         using MOM3D_SWEEP_THREADS or the default"
-                    );
-                    parsed.threads = None;
-                } else {
-                    parsed.threads = Some(n);
-                }
-            }
-            "--json" => {
-                let v = it.next().ok_or("--json needs a path")?;
-                parsed.json = Some(PathBuf::from(v));
-            }
-            "--all-backends" => parsed.all_backends = true,
-            "--small" => parsed.small = true,
-            "--cache-dir" => {
-                let v = it.next().ok_or("--cache-dir needs a path")?;
-                parsed.cache_dir = Some(PathBuf::from(v));
-            }
-            flag if flag.starts_with('-') => {
-                return Err(format!("unknown flag {flag:?}"));
-            }
-            positional => {
-                if parsed.seed.is_some() {
-                    return Err(format!("unexpected second positional argument {positional:?}"));
-                }
-                let seed: u64 =
-                    positional.parse().map_err(|_| format!("seed {positional:?}: not an integer"))?;
-                parsed.seed = Some(seed);
-            }
-        }
-    }
-    Ok(parsed)
+    let s = parse_grammar::<AllArgs>(args, Positional::Seed, &[
+        threads(),
+        cache_dir(),
+        ("--json", Some("a path"), |s, _, v| set(&mut s.args.json, Some(v.into()))),
+        ("--all-backends", None, |s, _, _| set(&mut s.args.all_backends, true)),
+        ("--small", None, |s, _, _| set(&mut s.args.small, true)),
+    ])?;
+    Ok(AllArgs { seed: s.seed, threads: s.threads, cache_dir: s.cache_dir, ..s.args })
 }
 
 /// Arguments shared by every figure/table binary: the conventional
@@ -167,33 +277,12 @@ pub fn parse_common_args<I>(args: I) -> Result<CommonArgs, String>
 where
     I: IntoIterator<Item = String>,
 {
-    let mut parsed = CommonArgs::default();
-    let mut it = args.into_iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--cache-dir" => {
-                let v = it.next().ok_or("--cache-dir needs a path")?;
-                parsed.cache_dir = Some(PathBuf::from(v));
-            }
-            flag if flag.starts_with('-') => {
-                return Err(format!("unknown flag {flag:?}"));
-            }
-            positional => {
-                if parsed.seed.is_some() {
-                    return Err(format!("unexpected second positional argument {positional:?}"));
-                }
-                let seed: u64 = positional
-                    .parse()
-                    .map_err(|_| format!("seed {positional:?}: not an integer"))?;
-                parsed.seed = Some(seed);
-            }
-        }
-    }
-    Ok(parsed)
+    let s = parse_grammar::<()>(args, Positional::Seed, &[cache_dir()])?;
+    Ok(CommonArgs { seed: s.seed, cache_dir: s.cache_dir })
 }
 
 /// Parsed `mom3d-shard` arguments.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct ShardArgs {
     /// Everything [`crate::shard::coordinate`] needs.
     pub config: ShardConfig,
@@ -239,80 +328,35 @@ pub fn parse_shard_args<I>(args: I) -> Result<ShardArgs, String>
 where
     I: IntoIterator<Item = String>,
 {
-    let mut config = ShardConfig::default();
-    let mut parsed =
-        ShardArgs { config: ShardConfig::default(), extended: false, endpoint: None, json: None };
-    let mut seed: Option<u64> = None;
-    let mut chaos_seed: Option<u64> = None;
-    let mut chaos_profile: Option<String> = None;
-    let mut it = args.into_iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--workers" => {
-                let v = it.next().ok_or("--workers needs a value")?;
-                config.workers =
-                    v.parse().map_err(|_| format!("--workers {v:?}: not an integer"))?;
-            }
-            "--worker-threads" => {
-                let v = it.next().ok_or("--worker-threads needs a value")?;
-                config.worker_threads =
-                    v.parse().map_err(|_| format!("--worker-threads {v:?}: not an integer"))?;
-            }
-            "--batch" => {
-                let v = it.next().ok_or("--batch needs a value")?;
-                config.batch = v.parse().map_err(|_| format!("--batch {v:?}: not an integer"))?;
-            }
-            "--grid" => {
-                let v = it.next().ok_or("--grid needs full|extended")?;
-                parsed.extended = match v.as_str() {
-                    "full" => false,
-                    "extended" => true,
-                    other => return Err(format!("--grid {other:?}: expected full or extended")),
-                };
-            }
-            "--small" => config.small = true,
-            "--manifest" => {
-                let v = it.next().ok_or("--manifest needs a path")?;
-                config.manifest = Some(PathBuf::from(v));
-            }
-            "--resume" => config.resume = true,
-            "--json" => {
-                let v = it.next().ok_or("--json needs a path")?;
-                parsed.json = Some(PathBuf::from(v));
-            }
-            "--cache-dir" => {
-                let v = it.next().ok_or("--cache-dir needs a path")?;
-                config.cache_dir = Some(PathBuf::from(v));
-            }
-            flag @ ("--tcp" | "--unix") => set_endpoint(&mut parsed.endpoint, flag, &mut it)?,
-            "--chaos-seed" => {
-                let v = it.next().ok_or("--chaos-seed needs a value")?;
-                chaos_seed =
-                    Some(v.parse().map_err(|_| format!("--chaos-seed {v:?}: not an integer"))?);
-            }
-            "--chaos-profile" => {
-                chaos_profile = Some(it.next().ok_or("--chaos-profile needs a profile")?);
-            }
-            flag if flag.starts_with('-') => return Err(format!("unknown flag {flag:?}")),
-            positional => {
-                if seed.is_some() {
-                    return Err(format!("unexpected second positional argument {positional:?}"));
-                }
-                seed = Some(
-                    positional
-                        .parse()
-                        .map_err(|_| format!("seed {positional:?}: not an integer"))?,
-                );
-            }
-        }
-    }
-    if config.resume && config.manifest.is_none() {
+    let s = parse_grammar::<ShardArgs>(args, Positional::Seed, &[
+        ("--workers", Some("a value"), |s, f, v| set(&mut s.args.config.workers, int(f, v)?)),
+        ("--worker-threads", Some("a value"), |s, f, v| {
+            set(&mut s.args.config.worker_threads, int(f, v)?)
+        }),
+        ("--batch", Some("a value"), |s, f, v| set(&mut s.args.config.batch, int(f, v)?)),
+        ("--grid", Some("full|extended"), |s, _, v| match v {
+            "full" | "extended" => set(&mut s.args.extended, v == "extended"),
+            other => Err(format!("--grid {other:?}: expected full or extended")),
+        }),
+        ("--small", None, |s, _, _| set(&mut s.args.config.small, true)),
+        ("--manifest", Some("a path"), |s, _, v| {
+            set(&mut s.args.config.manifest, Some(v.into()))
+        }),
+        ("--resume", None, |s, _, _| set(&mut s.args.config.resume, true)),
+        ("--json", Some("a path"), |s, _, v| set(&mut s.args.json, Some(v.into()))),
+        cache_dir(),
+        tcp(),
+        unix(),
+        chaos_seed(),
+        chaos_profile(),
+    ])?;
+    if s.args.config.resume && s.args.config.manifest.is_none() {
         return Err("--resume requires --manifest PATH (there is nothing to resume from)".into());
     }
-    config.seed = seed.unwrap_or(7);
-    config.chaos = ChaosConfig::from_cli(chaos_seed, chaos_profile.as_deref())?;
-    parsed.config = config;
-    Ok(parsed)
+    let chaos = s.chaos()?;
+    let config =
+        ShardConfig { seed: s.seed.unwrap_or(7), cache_dir: s.cache_dir, chaos, ..s.args.config };
+    Ok(ShardArgs { config, endpoint: s.endpoint, ..s.args })
 }
 
 /// Parsed `mom3d-shard-worker` arguments.
@@ -341,37 +385,19 @@ pub fn parse_shard_worker_args<I>(args: I) -> Result<ShardWorkerArgs, String>
 where
     I: IntoIterator<Item = String>,
 {
-    let mut endpoint: Option<Endpoint> = None;
-    let mut config = WorkerConfig::default();
-    let mut it = args.into_iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            flag @ ("--tcp" | "--unix") => set_endpoint(&mut endpoint, flag, &mut it)?,
-            "--id" => {
-                let v = it.next().ok_or("--id needs a value")?;
-                config.id = v.parse().map_err(|_| format!("--id {v:?}: not an integer"))?;
-            }
-            "--threads" => {
-                let v = it.next().ok_or("--threads needs a value")?;
-                config.threads =
-                    v.parse().map_err(|_| format!("--threads {v:?}: not an integer"))?;
-            }
-            "--cache-dir" => {
-                let v = it.next().ok_or("--cache-dir needs a path")?;
-                config.cache_dir = Some(PathBuf::from(v));
-            }
-            "--abort-after" => {
-                let v = it.next().ok_or("--abort-after needs a value")?;
-                config.abort_after =
-                    Some(v.parse().map_err(|_| format!("--abort-after {v:?}: not an integer"))?);
-            }
-            flag if flag.starts_with('-') => return Err(format!("unknown flag {flag:?}")),
-            positional => {
-                return Err(format!("unexpected positional argument {positional:?}"));
-            }
-        }
-    }
-    let endpoint = endpoint.ok_or("a worker needs --tcp ADDR or --unix PATH")?;
+    let s = parse_grammar::<WorkerConfig>(args, Positional::Refused, &[
+        tcp(),
+        unix(),
+        ("--id", Some("a value"), |s, f, v| set(&mut s.args.id, int(f, v)?)),
+        threads(),
+        cache_dir(),
+        ("--abort-after", Some("a value"), |s, f, v| {
+            set(&mut s.args.abort_after, Some(int(f, v)?))
+        }),
+    ])?;
+    let endpoint = s.endpoint.ok_or("a worker needs --tcp ADDR or --unix PATH")?;
+    let config =
+        WorkerConfig { threads: s.threads.unwrap_or(0), cache_dir: s.cache_dir, ..s.args };
     Ok(ShardWorkerArgs { endpoint, config })
 }
 
@@ -465,110 +491,152 @@ pub fn parse_tune_args<I>(args: I) -> Result<TuneArgs, String>
 where
     I: IntoIterator<Item = String>,
 {
-    let mut parsed = TuneArgs::default();
-    let mut it = args.into_iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--tune-seed" => {
-                let v = it.next().ok_or("--tune-seed needs a value")?;
-                parsed.tune_seed =
-                    Some(v.parse().map_err(|_| format!("--tune-seed {v:?}: not an integer"))?);
-            }
-            "--budget" => {
-                let v = it.next().ok_or("--budget needs a value")?;
-                let n: usize =
-                    v.parse().map_err(|_| format!("--budget {v:?}: not an integer"))?;
-                if n == 0 {
-                    return Err("--budget 0: at least one evaluation per family is needed".into());
-                }
-                parsed.budget = Some(n);
-            }
-            "--smoke" => parsed.smoke = true,
-            "--small" => parsed.small = true,
-            "--threads" => {
-                let v = it.next().ok_or("--threads needs a value")?;
-                let n: usize =
-                    v.parse().map_err(|_| format!("--threads {v:?}: not an integer"))?;
-                if n == 0 {
-                    // Same policy as `all --threads 0` (and the
-                    // environment variable): warn and fall back.
-                    eprintln!(
-                        "warning: --threads 0 is not a thread count; \
-                         using MOM3D_SWEEP_THREADS or the default"
-                    );
-                    parsed.threads = None;
-                } else {
-                    parsed.threads = Some(n);
-                }
-            }
-            "--json" => {
-                let v = it.next().ok_or("--json needs a path")?;
-                parsed.json = Some(PathBuf::from(v));
-            }
-            "--backend" => {
-                let v = it.next().ok_or("--backend needs a backend id")?;
-                parsed.backend = Some(v);
-            }
-            "--params" => {
-                let v = it.next().ok_or("--params needs key=value,...")?;
-                parsed.params = Some(v);
-            }
-            "--cache-dir" => {
-                let v = it.next().ok_or("--cache-dir needs a path")?;
-                parsed.cache_dir = Some(PathBuf::from(v));
-            }
-            "--coordinator" => {
-                let v = it.next().ok_or("--coordinator needs an address")?;
-                let ep = if v.contains('/') {
-                    Endpoint::Unix(PathBuf::from(v))
-                } else {
-                    Endpoint::Tcp(v)
-                };
-                if parsed.coordinator.is_some() {
-                    return Err("at most one --coordinator".into());
-                }
-                parsed.coordinator = Some(ep);
-            }
-            flag if flag.starts_with('-') => return Err(format!("unknown flag {flag:?}")),
-            positional => {
-                if parsed.seed.is_some() {
-                    return Err(format!("unexpected second positional argument {positional:?}"));
-                }
-                parsed.seed = Some(
-                    positional
-                        .parse()
-                        .map_err(|_| format!("seed {positional:?}: not an integer"))?,
-                );
-            }
-        }
-    }
-    if parsed.params.is_some() && parsed.backend.is_none() {
+    let s = parse_grammar::<TuneArgs>(args, Positional::Seed, &[
+        ("--tune-seed", Some("a value"), |s, f, v| set(&mut s.args.tune_seed, Some(int(f, v)?))),
+        ("--budget", Some("a value"), |s, f, v| {
+            let n = nonzero(f, v, "at least one evaluation per family is needed")?;
+            set(&mut s.args.budget, Some(n))
+        }),
+        ("--smoke", None, |s, _, _| set(&mut s.args.smoke, true)),
+        ("--small", None, |s, _, _| set(&mut s.args.small, true)),
+        threads(),
+        ("--json", Some("a path"), |s, _, v| set(&mut s.args.json, Some(v.into()))),
+        ("--backend", Some("a backend id"), |s, _, v| set(&mut s.args.backend, Some(v.into()))),
+        ("--params", Some("key=value,..."), |s, _, v| set(&mut s.args.params, Some(v.into()))),
+        cache_dir(),
+        ("--coordinator", Some("an address"), |s, _, v| {
+            let ep =
+                if v.contains('/') { Endpoint::Unix(v.into()) } else { Endpoint::Tcp(v.into()) };
+            once(&mut s.args.coordinator, ep, "at most one --coordinator")
+        }),
+    ])?;
+    if s.args.params.is_some() && s.args.backend.is_none() {
         return Err("--params requires --backend ID (whose parameters to override)".into());
     }
-    Ok(parsed)
+    Ok(TuneArgs { seed: s.seed, threads: s.threads, cache_dir: s.cache_dir, ..s.args })
 }
 
-/// Parses the value of `flag` (`--tcp` or `--unix`) from `it` into
-/// `slot`, refusing a second endpoint.
+/// Parsed `mom3d-serve` arguments.
+#[derive(Debug)]
+pub struct ServeArgs {
+    /// `--tcp ADDR | --unix PATH` (default `--tcp 127.0.0.1:7733`).
+    pub endpoint: Endpoint,
+    /// Everything [`crate::serve::serve`] needs, the workload-image
+    /// cache already resolved.
+    pub config: ServeConfig,
+}
+
+/// Usage string printed on `mom3d-serve` parse errors.
+pub const SERVE_USAGE: &str = "usage: mom3d-serve [SEED] [--tcp ADDR | --unix PATH] [--small] \
+                               [--threads N] [--cache-dir PATH] [--prebuild] \
+                               [--chaos-seed N] [--chaos-profile P]";
+
+/// Parses the `mom3d-serve` arguments (without the program name).
 ///
 /// # Errors
 ///
-/// A missing value, or `at most one of --tcp/--unix`.
-pub fn set_endpoint(
-    slot: &mut Option<Endpoint>,
-    flag: &str,
-    it: &mut impl Iterator<Item = String>,
-) -> Result<(), String> {
-    let ep = if flag == "--tcp" {
-        Endpoint::Tcp(it.next().ok_or("--tcp needs an address")?)
-    } else {
-        Endpoint::Unix(PathBuf::from(it.next().ok_or("--unix needs a path")?))
+/// Returns a human-readable message for unknown flags, missing or
+/// malformed values, duplicate endpoints/seeds and an unknown chaos
+/// profile.
+pub fn parse_serve_args<I>(args: I) -> Result<ServeArgs, String>
+where
+    I: IntoIterator<Item = String>,
+{
+    let s = parse_grammar::<ServeConfig>(args, Positional::Seed, &[
+        tcp(),
+        unix(),
+        ("--small", None, |s, _, _| set(&mut s.args.small, true)),
+        ("--prebuild", None, |s, _, _| set(&mut s.args.prebuild, true)),
+        threads(),
+        cache_dir(),
+        chaos_seed(),
+        chaos_profile(),
+    ])?;
+    let config = ServeConfig {
+        seed: s.seed.unwrap_or(7),
+        threads: s.threads.unwrap_or(0),
+        cache: WorkloadCache::resolve(s.cache_dir.as_deref()),
+        chaos: s.chaos()?,
+        ..s.args
     };
-    if slot.is_some() {
-        return Err("at most one of --tcp/--unix".into());
-    }
-    *slot = Some(ep);
-    Ok(())
+    let endpoint = s.endpoint.unwrap_or_else(|| Endpoint::Tcp("127.0.0.1:7733".into()));
+    Ok(ServeArgs { endpoint, config })
+}
+
+/// Parsed `mom3d-load` arguments.
+#[derive(Debug, Clone)]
+pub struct LoadArgs {
+    /// The load run: the `--smoke` or default preset with the explicit
+    /// flags applied over it.
+    pub config: LoadConfig,
+    /// `--json PATH`: report path (default `BENCH_serve.json`).
+    pub json: PathBuf,
+    /// `--stop`: send `SHUTDOWN` to the server after the run.
+    pub stop: bool,
+}
+
+/// Usage string printed on `mom3d-load` parse errors.
+pub const LOAD_USAGE: &str = "usage: mom3d-load (--tcp ADDR | --unix PATH) [--clients N] \
+                              [--requests N] [--mix-seed N] [--smoke] [--no-verify] \
+                              [--json PATH] [--stop] [--chaos-seed N] [--chaos-profile P]";
+
+/// The `mom3d-load` flags as given, before the preset is chosen.
+#[derive(Default)]
+struct LoadFlags {
+    smoke: bool,
+    clients: Option<usize>,
+    requests: Option<usize>,
+    mix_seed: Option<u64>,
+    no_verify: bool,
+    json: Option<PathBuf>,
+    stop: bool,
+}
+
+/// Parses the `mom3d-load` arguments (without the program name).
+///
+/// # Errors
+///
+/// Returns a human-readable message for unknown flags, missing or
+/// malformed values, zero clients or requests, a missing endpoint and
+/// an unknown chaos profile.
+pub fn parse_load_args<I>(args: I) -> Result<LoadArgs, String>
+where
+    I: IntoIterator<Item = String>,
+{
+    const AT_LEAST_ONE: &str = "must be at least 1";
+    let mut s = parse_grammar::<LoadFlags>(args, Positional::Refused, &[
+        tcp(),
+        unix(),
+        ("--smoke", None, |s, _, _| set(&mut s.args.smoke, true)),
+        ("--no-verify", None, |s, _, _| set(&mut s.args.no_verify, true)),
+        ("--stop", None, |s, _, _| set(&mut s.args.stop, true)),
+        ("--clients", Some("a value"), |s, f, v| {
+            set(&mut s.args.clients, Some(nonzero(f, v, AT_LEAST_ONE)?))
+        }),
+        ("--requests", Some("a value"), |s, f, v| {
+            set(&mut s.args.requests, Some(nonzero(f, v, AT_LEAST_ONE)?))
+        }),
+        ("--mix-seed", Some("a value"), |s, f, v| set(&mut s.args.mix_seed, Some(int(f, v)?))),
+        ("--json", Some("a path"), |s, _, v| set(&mut s.args.json, Some(v.into()))),
+        chaos_seed(),
+        chaos_profile(),
+    ])?;
+    let endpoint =
+        s.endpoint.take().ok_or("an endpoint is required (--tcp ADDR or --unix PATH)")?;
+    let chaos = s.chaos()?;
+    let flags = s.args;
+    let preset =
+        if flags.smoke { LoadConfig::smoke(endpoint) } else { LoadConfig::bench(endpoint) };
+    let config = LoadConfig {
+        clients: flags.clients.unwrap_or(preset.clients),
+        requests_per_client: flags.requests.unwrap_or(preset.requests_per_client),
+        mix_seed: flags.mix_seed.unwrap_or(preset.mix_seed),
+        verify: !flags.no_verify,
+        chaos,
+        ..preset
+    };
+    let json = flags.json.unwrap_or_else(|| PathBuf::from("BENCH_serve.json"));
+    Ok(LoadArgs { config, json, stop: flags.stop })
 }
 
 #[cfg(test)]
@@ -815,5 +883,100 @@ mod tests {
         assert!(parse_worker(&["--tcp", "a:1", "--id", "x"])
             .unwrap_err()
             .contains("not an integer"));
+    }
+
+    fn parse_serve(args: &[&str]) -> Result<ServeArgs, String> {
+        parse_serve_args(args.iter().map(|s| s.to_string()))
+    }
+
+    fn parse_load(args: &[&str]) -> Result<LoadArgs, String> {
+        parse_load_args(args.iter().map(|s| s.to_string()))
+    }
+
+    #[test]
+    fn serve_defaults_and_full_grammar() {
+        let a = parse_serve(&[]).unwrap();
+        assert_eq!(a.endpoint, Endpoint::Tcp("127.0.0.1:7733".into()));
+        assert_eq!(a.config.seed, 7);
+        assert_eq!(a.config.threads, 0, "0 is the serve default: every core");
+        assert!(!a.config.small && !a.config.prebuild && a.config.chaos.is_none());
+
+        let b = parse_serve(&["42", "--unix", "/tmp/s.sock", "--small", "--prebuild",
+            "--threads", "3"])
+        .unwrap();
+        assert_eq!(b.endpoint, Endpoint::Unix(PathBuf::from("/tmp/s.sock")));
+        assert_eq!((b.config.seed, b.config.threads), (42, 3));
+        assert!(b.config.small && b.config.prebuild);
+
+        // --threads 0 warns and keeps the default.
+        assert_eq!(parse_serve(&["--threads", "0"]).unwrap().config.threads, 0);
+        assert!(parse_serve(&["--tcp", "a:1", "--unix", "p"])
+            .unwrap_err()
+            .contains("at most one of --tcp/--unix"));
+        assert!(parse_serve(&["--frobnicate"]).unwrap_err().contains("unknown flag"));
+        assert!(parse_serve(&["1", "2"]).unwrap_err().contains("second positional"));
+    }
+
+    #[test]
+    fn serve_chaos_flags_default_each_other() {
+        let chaos = parse_serve(&["--chaos-seed", "9"]).unwrap().config.chaos.unwrap();
+        assert_eq!(chaos.seed, 9);
+        assert!(chaos.profile.any(), "the default profile must inject something");
+        let chaos = parse_serve(&["--chaos-profile", "heavy"]).unwrap().config.chaos.unwrap();
+        assert_eq!(chaos.seed, 1);
+        assert!(parse_serve(&["--chaos-profile", "bogus"])
+            .unwrap_err()
+            .contains("unknown chaos class"));
+    }
+
+    #[test]
+    fn load_presets_and_overrides() {
+        assert!(parse_load(&[]).unwrap_err().contains("an endpoint is required"));
+
+        let a = parse_load(&["--tcp", "127.0.0.1:7733"]).unwrap();
+        assert_eq!(a.config.endpoint, Endpoint::Tcp("127.0.0.1:7733".into()));
+        assert_eq!((a.config.clients, a.config.requests_per_client), (32, 36));
+        assert!(a.config.verify && a.config.chaos.is_none() && !a.stop);
+        assert_eq!(a.json, PathBuf::from("BENCH_serve.json"));
+
+        let b = parse_load(&["--unix", "/tmp/s.sock", "--smoke"]).unwrap();
+        assert_eq!((b.config.clients, b.config.requests_per_client), (6, 12));
+
+        // Explicit counts win over the preset in either order.
+        let c = parse_load(&["--clients", "2", "--smoke", "--tcp", "a:1", "--requests", "5",
+            "--mix-seed", "9", "--no-verify", "--json", "l.json", "--stop"])
+        .unwrap();
+        assert_eq!((c.config.clients, c.config.requests_per_client), (2, 5));
+        assert_eq!(c.config.mix_seed, 9);
+        assert!(!c.config.verify && c.stop);
+        assert_eq!(c.json, PathBuf::from("l.json"));
+    }
+
+    #[test]
+    fn load_grammar_errors_are_descriptive() {
+        assert!(parse_load(&["--tcp", "a:1", "--clients", "0"])
+            .unwrap_err()
+            .contains("--clients 0: must be at least 1"));
+        assert!(parse_load(&["--tcp", "a:1", "--requests", "0"])
+            .unwrap_err()
+            .contains("must be at least 1"));
+        assert!(parse_load(&["--tcp", "a:1", "--clients", "x"])
+            .unwrap_err()
+            .contains("not an integer"));
+        assert!(parse_load(&["--tcp", "a:1", "--unix", "p"])
+            .unwrap_err()
+            .contains("at most one of --tcp/--unix"));
+        assert!(parse_load(&["--tcp", "a:1", "7"]).unwrap_err().contains("positional"));
+        assert!(parse_load(&["--frobnicate"]).unwrap_err().contains("unknown flag"));
+        let chaos = parse_load(&["--tcp", "a:1", "--chaos-seed", "4"]).unwrap().config.chaos;
+        assert_eq!(chaos.map(|c| c.seed), Some(4));
+        let chaos = parse_load(&["--tcp", "a:1", "--chaos-profile", "heavy"]).unwrap().config.chaos;
+        assert_eq!(chaos.map(|c| c.seed), Some(1));
+    }
+
+    #[test]
+    fn threads_zero_keeps_every_default() {
+        assert_eq!(parse_worker(&["--tcp", "a:1", "--threads", "0"]).unwrap().config.threads, 0);
+        assert_eq!(parse(&["--threads", "2", "--threads", "0"]).unwrap().threads, None);
     }
 }

@@ -17,8 +17,11 @@
 //! | `all` | everything above in paper order |
 //! | `ablation` | beyond-paper ablations + a registry-driven sweep of every memory backend |
 //!
-//! Every binary accepts an optional seed argument
-//! (`cargo run -p mom3d-bench --bin fig9 -- 42`). Workloads are verified
+//! Every binary except `mom3d-load` and `mom3d-shard-worker` accepts an
+//! optional seed argument (`cargo run -p mom3d-bench --bin fig9 -- 42`);
+//! a worker takes its seed from the coordinator's grant. All of them
+//! parse their command line through [`cli`], so a mistyped flag exits
+//! with status 2 and the usage line. Workloads are verified
 //! against their scalar references before being timed, so the harness
 //! can only report numbers produced by functionally correct traces.
 //!
@@ -124,11 +127,6 @@ pub use runner::{Runner, SimKey, WorkloadTiming};
 /// resolved (flag, else `MOM3D_WORKLOAD_CACHE`, else none). Prints
 /// usage and exits with status 2 on a parse error.
 pub fn runner_from_args() -> Runner {
-    match cli::parse_common_args(std::env::args().skip(1)) {
-        Ok(args) => Runner::new(args.seed()).with_cache(args.cache()),
-        Err(e) => {
-            eprintln!("error: {e}\n{}", cli::COMMON_USAGE);
-            std::process::exit(2);
-        }
-    }
+    let args = cli::parse_or_exit(cli::parse_common_args, cli::COMMON_USAGE);
+    Runner::new(args.seed()).with_cache(args.cache())
 }

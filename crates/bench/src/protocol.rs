@@ -1494,17 +1494,36 @@ impl RetryClient {
         }
     }
 
-    /// Asks the server to shut down (single shot — a dying server often
-    /// cannot ack, so no retry loop).
+    /// Asks the server to shut down, over a fresh connection per
+    /// attempt and up to [`RetryPolicy::attempts`] times: under fault
+    /// injection a `SHUTDOWN` frame or its ack can be damaged in flight,
+    /// and an unstopped server would leave whoever waits on it hanging.
+    /// Each ack wait is capped at 5 s. Returns `true` once the server
+    /// acked, and `false` when a connect fails outright: the server is
+    /// already gone, which is success too.
     ///
     /// # Errors
     ///
-    /// Propagates the transport error.
-    pub fn request_shutdown(&mut self) -> io::Result<()> {
-        let client = self.connected()?;
-        let _ = client.round_trip(&Request::Shutdown)?;
+    /// The last transport error once every attempt has failed.
+    pub fn request_shutdown(&mut self) -> io::Result<bool> {
+        let mut last_err = io::Error::other("no shutdown attempt allowed");
+        for attempt in 0..self.policy.attempts {
+            self.client = None;
+            let Ok(client) = self.connected() else {
+                return Ok(false);
+            };
+            client.set_io_timeout(Some(Duration::from_secs(5)));
+            match client.round_trip(&Request::Shutdown) {
+                Ok(_) => {
+                    self.client = None;
+                    return Ok(true);
+                }
+                Err(e) => last_err = e,
+            }
+            std::thread::sleep(Duration::from_millis(50 << attempt.min(4)));
+        }
         self.client = None;
-        Ok(())
+        Err(last_err)
     }
 }
 

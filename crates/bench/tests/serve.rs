@@ -9,7 +9,8 @@
 //! identical in-flight requests coalesce onto one simulation.
 
 use mom3d_bench::protocol::{
-    read_frame, write_frame, Client, Endpoint, Frame, Request, Response, ServeCounters,
+    read_frame, write_frame, Client, Endpoint, Frame, Request, Response, RetryClient,
+    RetryPolicy, ServeCounters,
     ERR_MALFORMED, ERR_PROTOCOL, ERR_TOO_MANY_CELLS, ERR_UNKNOWN_BACKEND, ERR_UNSUPPORTED,
     MAX_FRAME_PAYLOAD, MAX_SWEEP_CELLS, OP_PONG, OP_SIM, OP_SWEEP, PROTOCOL_MAGIC,
 };
@@ -326,4 +327,17 @@ fn raw_frame_damage_is_rejected_before_any_allocation() {
         read_frame(&mut buf.as_slice()).unwrap(),
         Frame { opcode: OP_SIM, payload: b"payload".to_vec() }
     );
+}
+
+#[test]
+fn request_shutdown_stops_the_server_and_then_finds_it_gone() {
+    let handle = start("shutdown");
+    let endpoint = handle.endpoint().clone();
+    let mut client = RetryClient::new(endpoint.clone(), RetryPolicy::default());
+    assert!(client.request_shutdown().expect("shutdown acked"), "a live server acks");
+    handle.wait();
+    // The socket is unlinked on drain: a second request finds nothing
+    // to stop, which is success, not an error.
+    let mut again = RetryClient::new(endpoint, RetryPolicy::default());
+    assert!(!again.request_shutdown().expect("a gone server is not an error"));
 }

@@ -153,6 +153,9 @@ fn a_crashed_worker_costs_no_completed_cell() {
     let serial = serial_metrics(&cells);
     // Worker 0 vanishes mid-shard after 3 cells — no FIN, dropped
     // connection, exactly like a SIGKILLed process. Worker 1 survives.
+    // Worker 1 starts only once worker 0 has returned at its crash
+    // point: started together, worker 1 could drain the grid before
+    // worker 0 reached 3 cells.
     let config = ShardConfig {
         seed: SEED,
         small: true,
@@ -160,7 +163,23 @@ fn a_crashed_worker_costs_no_completed_cell() {
         batch: 2,
         ..ShardConfig::default()
     };
-    let (report, summaries) = run_sharded("crash", &[Some(3), None], config);
+    let endpoint = Endpoint::Unix(tmp("crash", "sock"));
+    let coordinator = {
+        let endpoint = endpoint.clone();
+        let cells = cells.clone();
+        std::thread::spawn(move || coordinate(endpoint, &cells, &config))
+    };
+    let summaries: Vec<WorkerSummary> = [Some(3), None]
+        .into_iter()
+        .enumerate()
+        .map(|(id, abort_after)| {
+            let config =
+                WorkerConfig { id: id as u32, threads: 1, abort_after, ..WorkerConfig::default() };
+            run_worker(&endpoint, &config).expect("worker failed")
+        })
+        .collect();
+    let report =
+        coordinator.join().expect("coordinator thread panicked").expect("coordinator failed");
 
     assert_bit_identical(&report, &cells, &serial);
     assert_eq!(summaries[0].cells, 3, "the crash point is exact");
