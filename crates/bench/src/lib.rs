@@ -74,10 +74,13 @@
 //! Sweeps also scale out across processes: `mom3d-shard` partitions a
 //! grid over worker processes that hydrate workloads from the shared
 //! on-disk cache and stream per-cell metrics back over the same frame
-//! [`protocol`] ([`shard`]). Completed cells are journaled to a
-//! durable, checksummed [`manifest`], so a run killed at any point —
-//! SIGKILL included — resumes without re-simulating finished cells,
-//! and the merged report is bit-identical to a single-process sweep.
+//! [`protocol`] ([`shard`]). The coordinator is the same cell service
+//! as `mom3d-serve`, run with no local threads, so both answer one
+//! dialect and a worker can attach to either. Completed cells are
+//! journaled to a durable, checksummed [`manifest`], so a run killed at
+//! any point — SIGKILL included — resumes without re-simulating
+//! finished cells, and the merged report is bit-identical to a
+//! single-process sweep.
 //!
 //! The whole distributed stack is hostile-tested: [`faults`] is a
 //! deterministic, seeded chaos layer (an in-process proxy plus stream

@@ -139,12 +139,19 @@ impl<K: Eq + Hash + Copy, V: Clone> MemoTable<K, V> {
         }
     }
 
-    /// Publishes a claimed key's value and wakes every waiter.
-    pub fn publish(&self, key: K, value: V) {
+    /// Publishes a claimed key's value and wakes every waiter. The
+    /// first publish wins: for a key that is not currently claimed
+    /// (already published, abandoned, or never scheduled) this changes
+    /// nothing and returns `false`.
+    pub fn publish(&self, key: K, value: V) -> bool {
         let mut slots = self.slots.lock().expect("memo table poisoned");
-        slots.insert(key, Slot::Ready(value));
+        let Some(slot @ Slot::Pending) = slots.get_mut(&key) else {
+            return false;
+        };
+        *slot = Slot::Ready(value);
         drop(slots);
         self.published.notify_all();
+        true
     }
 
     /// Abandons a claim: the key becomes empty again (a later
@@ -321,6 +328,17 @@ mod tests {
         assert_eq!(t.len_ready(), 1);
         let s = t.stats();
         assert_eq!((s.hits, s.misses, s.coalesced, s.failed), (1, 1, 1, 0));
+    }
+
+    #[test]
+    fn only_a_claimed_key_can_be_published_and_the_first_publish_wins() {
+        let t: MemoTable<u32, u64> = MemoTable::new();
+        assert!(!t.publish(3, 30), "an unscheduled key is not in flight");
+        assert_eq!(t.peek(&3), None);
+        assert_eq!(t.schedule(3), Schedule::Claimed);
+        assert!(t.publish(3, 30));
+        assert!(!t.publish(3, 31), "a second publish loses");
+        assert_eq!(t.peek(&3), Some(30));
     }
 
     #[test]

@@ -42,22 +42,25 @@
 //! order), a memo-hit flag and the full [`Metrics`] — bit-identical to
 //! what an in-process [`crate::Runner`] computes for the same key.
 //!
-//! The distributed-sweep opcodes ([`crate::shard`]) ride the same
-//! framing and are served by the `mom3d-shard` coordinator. Each
-//! service answers the other's opcodes with [`ERR_UNSUPPORTED`] and a
-//! message naming the service that speaks them:
+//! The pull-based worker opcodes ([`crate::shard`]) ride the same
+//! framing and belong to the same dialect:
 //!
 //! | Request       | Payload                          | Reply |
 //! |---------------|----------------------------------|-------|
-//! | `SHARD_CLAIM` | worker id                        | `SHARD_GRANT` (seed + geometry + cell batch; an empty batch means "sweep complete, exit") |
+//! | `SHARD_CLAIM` | worker id                        | `SHARD_GRANT` (seed + geometry + cell batch; an empty batch means "the service is shutting down, exit") |
 //! | `CELL_DONE`   | key + sim wall-clock + [`Metrics`] | — (fire-and-forget stream) |
-//! | `SHARD_FIN`   | cells completed in this grant    | `DONE` (ack; carries cells still pending coordinator-side) |
+//! | `SHARD_FIN`   | cells completed in this grant    | `DONE` (ack; echoes the completed count) |
+//!
+//! `mom3d-serve` and the `mom3d-shard` coordinator are one cell service
+//! ([`crate::serve`]) and answer all eight requests. [`ERR_UNSUPPORTED`]
+//! therefore comes only from [`Request::decode`], for an opcode that is
+//! not a request — in practice a frame header damaged on the wire.
 
 use crate::faults::{chaos_wrap, Backoff, ChaosConfig};
 use crate::runner::SimKey;
 use mom3d_cpu::{BackendRegistry, Metrics};
 use mom3d_kernels::{IsaVariant, WorkloadKind};
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::fmt;
 use std::io::{self, Read, Write};
 use std::net::TcpStream;
@@ -120,8 +123,9 @@ pub const ERR_UNKNOWN_BACKEND: u8 = 2;
 pub const ERR_SIM_FAILED: u8 = 3;
 /// Error code: frame-level damage; the server closes the connection.
 pub const ERR_PROTOCOL: u8 = 4;
-/// Error code: well-formed frame with an opcode the server does not
-/// serve (e.g. a response opcode sent as a request).
+/// Error code: well-formed frame whose opcode is not a request (a
+/// response or unassigned opcode, e.g. a request opcode damaged on the
+/// wire).
 pub const ERR_UNSUPPORTED: u8 = 5;
 /// Error code: a `SWEEP` request with more than [`MAX_SWEEP_CELLS`]
 /// cells.
@@ -1268,12 +1272,10 @@ impl RetryClient {
     /// Classifies one response within a request conversation. Typed
     /// errors that keep the connection usable retry in place; framing
     /// loss ([`ERR_PROTOCOL`], [`ERR_TIMEOUT`]) reconnects first.
-    /// [`ERR_UNSUPPORTED`] also reconnects and retries: the frame
-    /// checksum does not cover the header, so wire damage can rewrite
-    /// an opcode into a well-formed garbage request — indistinguishable
-    /// from a misdirected client. Against a server that genuinely does
-    /// not speak the opcode, the bounded attempt budget surfaces the
-    /// redirect error anyway.
+    /// [`ERR_UNSUPPORTED`] also reconnects and retries: every server
+    /// answers every request opcode, so that code can only mean the
+    /// frame checksum (which does not cover the header) let wire damage
+    /// rewrite the opcode into a well-formed garbage request.
     fn classify(&mut self, resp: Response) -> Attempt {
         match resp {
             Response::Error { code: ERR_OVERLOADED, .. } => {
@@ -1389,14 +1391,8 @@ impl RetryClient {
     ///
     /// Transport exhaustion with no progress, or a fatal typed error.
     pub fn sweep(&mut self, cells: &[SimKey]) -> io::Result<Vec<CellReply>> {
-        // Dedup preserving first-occurrence order; the server streams
-        // unique cells only.
-        let mut order: Vec<SimKey> = Vec::with_capacity(cells.len());
-        for key in cells {
-            if !order.contains(key) {
-                order.push(*key);
-            }
-        }
+        // The server streams unique cells only.
+        let order = crate::sweep::unique_cells(cells);
         let mut got: HashMap<SimKey, CellReply> = HashMap::with_capacity(order.len());
         for chunk in order.chunks(MAX_SWEEP_CELLS as usize) {
             self.sweep_chunk(chunk, &mut got)?;
@@ -1465,6 +1461,7 @@ impl RetryClient {
         got: &mut HashMap<SimKey, CellReply>,
     ) -> (bool, Result<(), Attempt>) {
         let mut progress = false;
+        let wanted: HashSet<SimKey> = remaining.iter().copied().collect();
         let client = match self.connected() {
             Ok(c) => c,
             Err(e) => return (false, Err(self.fail(e, true))),
@@ -1479,7 +1476,7 @@ impl RetryClient {
             };
             match resp {
                 Response::Result(reply) => {
-                    if remaining.contains(&reply.key) {
+                    if wanted.contains(&reply.key) {
                         got.insert(reply.key, reply);
                         progress = true;
                     }

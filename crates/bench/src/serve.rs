@@ -1,34 +1,48 @@
-//! `mom3d-serve`: a resident simulation server.
+//! The cell service: `mom3d-serve` and the `mom3d-shard` coordinator.
 //!
-//! Every experiment binary pays process startup, workload-image cache
-//! probing, workload hydration and sweep setup per invocation. This
-//! module keeps all of that **resident in one long-lived process**:
-//! verified workloads (behind [`Arc`]), and the `SimKey → Metrics` memo
-//! table survive across requests, so the steady-state cost of a
-//! repeated simulation request is one memo lookup plus two frames on a
-//! socket.
+//! Every number the harness reports is a cell: a pure, deterministic
+//! simulation keyed by [`SimKey`]. This module keeps the cells'
+//! results, the verified workloads (behind [`Arc`]) and one work queue
+//! **resident in one long-lived process**, so the steady-state cost of
+//! a repeated request is one memo lookup plus two frames on a socket.
 //!
 //! Architecture (all std, no tokio):
 //!
-//! * the shared server core (`crate::server`, also under the
-//!   `mom3d-shard` coordinator) binds the [`Endpoint`], runs the accept
-//!   loop and one handler thread per connection, and decodes
+//! * the server core (`crate::server`) binds the [`Endpoint`], runs the
+//!   accept loop and one handler thread per connection, and decodes
 //!   [`Request`]s ([`crate::protocol`]);
-//! * this module answers them against the resident [`MemoTable`]:
-//!   published cells answer immediately, identical in-flight cells
-//!   coalesce onto the running simulation, and fresh cells are claimed
-//!   and scheduled onto
-//! * a **simulation worker pool** (the same worker-count policy as the
-//!   [`crate::sweep`] engine, sharing its [`Runner`] build/verify and
-//!   `simulate` paths), which publishes each result to the memo table,
-//!   waking every handler streaming that cell;
+//! * one handler answers all eight requests against the resident
+//!   `SimKey → Metrics` [`MemoTable`], the only result store: published
+//!   cells answer immediately, identical in-flight cells coalesce onto
+//!   the running simulation, and fresh cells are claimed and pushed onto
+//! * **one work queue**, drained two ways: local pool threads (the
+//!   [`crate::sweep`] worker-count policy, sharing its [`Runner`]
+//!   build/verify and `simulate` paths) pop one cell at a time, and
+//!   pull-based workers ([`crate::shard::run_worker`]) take batches with
+//!   `SHARD_CLAIM` and stream each result back as a `CELL_DONE`. Either
+//!   way the result is published to the memo table, waking every handler
+//!   streaming that cell. The first publish wins; a `CELL_DONE` for a
+//!   cell that is not in flight is counted and dropped;
 //! * workloads resolve through a second memo table, so concurrent
 //!   requests for different cells of one workload build it exactly
 //!   once — hydrated from the on-disk workload-image cache when one is
 //!   attached.
 //!
+//! [`serve`] runs the service with N local threads. The coordinator
+//! ([`crate::shard::coordinate`]) runs the same service with none, its
+//! grid pre-claimed and its resumed cells pre-published. So a worker
+//! attaches to either, and both speak one dialect.
+//!
+//! Grants to workers are leased: every claim and `CELL_DONE` is a
+//! heartbeat, and the lease tick (run by every loop that waits on the
+//! queue) requeues the grant of a connection silent past the lease, so
+//! a stalled-but-alive worker can delay the cells it holds but never
+//! wedge them. An idle claim steals half of
+//! the largest outstanding grant, and a dead connection's unfinished
+//! cells go back to the queue.
+//!
 //! Failure containment: frame-level damage costs one connection,
-//! request-level damage costs one error reply, and a panicking
+//! request-level damage costs one error reply, and a panicking local
 //! simulation un-claims its cell ([`ClaimGuard`] semantics inside the
 //! pool) so waiters get an [`ERR_SIM_FAILED`] reply instead of a hang.
 //! A client disconnecting mid-stream kills only its handler thread —
@@ -42,30 +56,32 @@
 //! `ERR_TIMEOUT`), and requests over the pending-work bound are
 //! **shed** with a typed [`ERR_OVERLOADED`] reply (clients back off and
 //! retry — requests are `SimKey`s and replies memoized, so retries are
-//! idempotent). Shutdown is a **graceful drain** that finishes
-//! in-flight simulations, refuses new work, force-closes only the
-//! stragglers and flushes a final counter/memo-stat line.
-//! `--chaos-seed` wraps every accepted connection in a seeded
-//! [`ChaosStream`](crate::faults::ChaosStream) for hostile self-testing.
+//! idempotent). Shutdown is a **graceful drain** that finishes queued
+//! local simulations, answers parked claims with empty grants, refuses
+//! new work, force-closes only the stragglers and flushes a final
+//! counter/memo-stat line. `--chaos-seed` wraps every accepted
+//! connection in a seeded [`ChaosStream`](crate::faults::ChaosStream)
+//! for hostile self-testing.
 
 use crate::faults::ChaosConfig;
+use crate::manifest::Manifest;
 use crate::memo::{ClaimGuard, MemoTable, Schedule};
 use crate::protocol::{
     CellReply, Endpoint, Hello, Request, Response, ServeCounters, Stream, ERR_OVERLOADED,
     ERR_SIM_FAILED, ERR_TIMEOUT,
 };
 use crate::runner::{simulate, Runner, SimKey};
-use crate::server::{self, respond, Core, Service};
+use crate::server::{self, respond, Core, Listener};
 use crate::sweep;
 use crate::WorkloadCache;
 use mom3d_cpu::Metrics;
 use mom3d_kernels::{IsaVariant, Workload, WorkloadKind};
-use std::collections::{HashSet, VecDeque};
+use std::collections::{HashMap, VecDeque};
 use std::io;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 pub use crate::server::DEFAULT_CONNECTION_CAP;
 
@@ -79,6 +95,15 @@ pub const DEFAULT_QUEUE_LIMIT: usize = 1024;
 /// handler answers [`ERR_TIMEOUT`] instead of parking forever. Generous
 /// — full-geometry cells take seconds, not minutes.
 const RESULT_DEADLINE: Duration = Duration::from_secs(600);
+
+/// Grant lease when none is configured: a connection holding granted
+/// cells whose last claim/completion is older than this has its grant
+/// requeued. Generous — `CELL_DONE` arrives per cell, so any live
+/// worker refreshes its lease far more often.
+pub(crate) const DEFAULT_LEASE: Duration = Duration::from_secs(120);
+
+/// Period of the lease tick ([`CellService::wait_tick`]).
+const LEASE_TICK: Duration = Duration::from_millis(100);
 
 /// How a [`ServerHandle`] is configured.
 #[derive(Debug)]
@@ -132,7 +157,6 @@ impl Default for ServeConfig {
     }
 }
 
-
 #[derive(Debug, Default)]
 struct Counters {
     requests: AtomicU64,
@@ -142,22 +166,118 @@ struct Counters {
     shed: AtomicU64,
 }
 
-/// Shared state of one server: the core, the resident tables and the
-/// job queue.
+/// Per-worker-id bookkeeping for a sharded report's per-worker stats.
 #[derive(Debug)]
-struct ServeState {
-    core: Core,
+pub(crate) struct WorkerAccount {
+    pub(crate) cells: u64,
+    pub(crate) walls: Vec<u64>,
+    pub(crate) first: Instant,
+    pub(crate) last: Instant,
+}
+
+/// The work queue and everything that changes with it, behind one
+/// mutex.
+#[derive(Debug, Default)]
+pub(crate) struct Queue {
+    /// Claimed cells nobody runs yet.
+    pub(crate) pending: VecDeque<SimKey>,
+    /// Cells granted per connection and not yet published; requeued
+    /// wholesale when the connection dies or its lease expires, halved
+    /// by a steal.
+    granted: HashMap<u64, Vec<SimKey>>,
+    /// Which worker id each connection claimed as (stats attribution).
+    conn_worker: HashMap<u64, u32>,
+    /// Last claim / `CELL_DONE` / fin per connection — the heartbeat
+    /// the lease is checked against.
+    activity: HashMap<u64, Instant>,
+    /// Simulation wall-clock (ns) per cell a worker published.
+    pub(crate) walls: HashMap<SimKey, u64>,
+    pub(crate) workers: HashMap<u32, WorkerAccount>,
+    /// Crash-resume journal of every cell a worker publishes.
+    pub(crate) manifest: Option<Manifest>,
+    /// One append failed; warn once and stop pretending the journal is
+    /// complete.
+    manifest_broken: bool,
+    pub(crate) steals: u64,
+    /// `CELL_DONE`s dropped because their cell was not in flight:
+    /// already published (stealing and requeues make that legal) or
+    /// never requested.
+    pub(crate) duplicates: u64,
+    /// Grants requeued because their connection went silent past the
+    /// lease.
+    pub(crate) lease_expiries: u64,
+}
+
+impl Queue {
+    /// Records `cells` as granted to `conn_id`; the lease clock starts
+    /// now, not when the (possibly long-parked) claim arrived.
+    fn grant(&mut self, conn_id: u64, cells: Vec<SimKey>) -> Vec<SimKey> {
+        self.granted.entry(conn_id).or_default().extend(&cells);
+        self.activity.insert(conn_id, Instant::now());
+        cells
+    }
+}
+
+/// Shared state of one cell service: the core, the resident tables and
+/// the work queue.
+#[derive(Debug)]
+pub(crate) struct CellService {
+    pub(crate) core: Core,
     runner: Runner,
     hello: Hello,
     workloads: MemoTable<(WorkloadKind, IsaVariant), Arc<Workload>>,
-    memo: MemoTable<SimKey, Metrics>,
-    queue: Mutex<VecDeque<SimKey>>,
-    queue_ready: Condvar,
+    /// Every result, local or remote: the service's only result store.
+    pub(crate) memo: MemoTable<SimKey, Metrics>,
+    queue: Mutex<Queue>,
+    /// Notified on every enqueue, requeue, completion and shutdown; wakes
+    /// every waiter in [`CellService::wait_tick`].
+    pub(crate) changed: Condvar,
     counters: Counters,
     queue_limit: usize,
+    /// Cells per grant.
+    pub(crate) batch: usize,
+    pub(crate) lease: Duration,
 }
 
-impl ServeState {
+impl CellService {
+    /// An idle service: empty queue and tables, the default queue bound
+    /// and lease, one cell per grant.
+    pub(crate) fn new(core: Core, runner: Runner, hello: Hello) -> CellService {
+        CellService {
+            core,
+            runner,
+            hello,
+            workloads: MemoTable::new(),
+            memo: MemoTable::new(),
+            queue: Mutex::new(Queue::default()),
+            changed: Condvar::new(),
+            counters: Counters::default(),
+            queue_limit: DEFAULT_QUEUE_LIMIT,
+            batch: 1,
+            lease: DEFAULT_LEASE,
+        }
+    }
+
+    pub(crate) fn lock(&self) -> MutexGuard<'_, Queue> {
+        self.queue.lock().expect("work queue poisoned")
+    }
+
+    /// Claims every fresh cell of `grid` onto the queue, after
+    /// publishing the `resumed` ones. Returns how many were queued.
+    pub(crate) fn preload(&mut self, grid: &[SimKey], resumed: &[(SimKey, Metrics)]) -> usize {
+        for &(key, metrics) in resumed {
+            self.memo.schedule(key);
+            self.memo.publish(key, metrics);
+        }
+        let q = self.queue.get_mut().expect("work queue poisoned");
+        for &key in grid {
+            if matches!(self.memo.schedule(key), Schedule::Claimed) {
+                q.pending.push_back(key);
+            }
+        }
+        q.pending.len()
+    }
+
     fn counters_snapshot(&self) -> ServeCounters {
         let memo = self.memo.stats();
         ServeCounters {
@@ -176,10 +296,8 @@ impl ServeState {
     }
 
     fn enqueue(&self, key: SimKey) {
-        let mut queue = self.queue.lock().expect("job queue poisoned");
-        queue.push_back(key);
-        drop(queue);
-        self.queue_ready.notify_one();
+        self.lock().pending.push_back(key);
+        self.changed.notify_all();
     }
 
     /// Backpressure gate, checked before any `SIM`/`SWEEP` does work:
@@ -191,7 +309,7 @@ impl ServeState {
         let message = if self.core.shutting_down() {
             "server is draining: no new work accepted".to_string()
         } else {
-            let queued = self.queue.lock().expect("job queue poisoned").len();
+            let queued = self.lock().pending.len();
             if queued < self.queue_limit {
                 return None;
             }
@@ -200,27 +318,12 @@ impl ServeState {
         self.counters.shed.fetch_add(1, Ordering::Relaxed);
         Some(Response::Error { code: ERR_OVERLOADED, message })
     }
-}
 
-impl Service for ServeState {
-    const WHO: &'static str = "mom3d-serve handler";
-    // Shard traffic belongs to the mom3d-shard coordinator; a worker
-    // pointed at the wrong endpoint gets a typed error (and a usable
-    // connection), not a hang or a close.
-    const REDIRECT: &'static str =
-        "shard opcodes are served by the mom3d-shard coordinator, not mom3d-serve";
-    /// A connection idle this long is reclaimed (the client reconnects
-    /// on its next request).
-    const IDLE_TIMEOUT: Duration = Duration::from_secs(300);
-    const WRITE_TIMEOUT: Duration = Duration::from_secs(30);
-
-    fn core(&self) -> &Core {
-        &self.core
-    }
-
-    fn handle(&self, _conn_id: u64, stream: &mut Stream, req: Request) -> Option<bool> {
+    /// Serves one decoded request on connection `conn_id`. Returns
+    /// whether the connection stays open.
+    pub(crate) fn handle(&self, conn_id: u64, stream: &mut Stream, req: Request) -> bool {
         self.counters.requests.fetch_add(1, Ordering::Relaxed);
-        Some(match req {
+        match req {
             Request::Ping => respond(stream, &Response::Pong(self.hello)).is_ok(),
             Request::Stats => respond(stream, &Response::Stats(self.counters_snapshot())).is_ok(),
             Request::Shutdown => {
@@ -228,25 +331,188 @@ impl Service for ServeState {
                 self.begin_shutdown();
                 false
             }
-            Request::Sim(key) => match self.shed_reply() {
-                Some(reply) => respond(stream, &reply).is_ok(),
-                None => serve_sim(self, stream, key),
-            },
-            Request::Sweep(cells) => match self.shed_reply() {
-                Some(reply) => respond(stream, &reply).is_ok(),
-                None => serve_sweep(self, stream, cells),
-            },
-            Request::ShardClaim { .. } | Request::CellDone { .. } | Request::ShardFin { .. } => {
-                return None
+            Request::Sim(_) | Request::Sweep(_) if let Some(reply) = self.shed_reply() => {
+                respond(stream, &reply).is_ok()
             }
-        })
+            Request::Sim(key) => stream_cells(self, stream, &[key]).is_some(),
+            Request::Sweep(cells) => stream_cells(self, stream, &cells)
+                .is_some_and(|results| respond(stream, &Response::Done { results }).is_ok()),
+            Request::ShardClaim { worker } => {
+                let cells = self.claim(conn_id, worker);
+                let (seed, small) = (self.hello.seed, self.hello.small);
+                respond(stream, &Response::ShardGrant { seed, small, cells }).is_ok()
+            }
+            Request::CellDone { key, wall_ns, metrics } => {
+                // Fire-and-forget: no reply, the worker is already
+                // simulating the next cell.
+                self.record(conn_id, key, wall_ns, metrics);
+                true
+            }
+            Request::ShardFin { completed } => {
+                self.lock().activity.insert(conn_id, Instant::now());
+                respond(stream, &Response::Done { results: completed }).is_ok()
+            }
+        }
     }
 
-    /// Wakes the worker pool. Taking the queue lock first means no
-    /// worker can be between its latch check and its wait.
-    fn wake(&self) {
-        drop(self.queue.lock().expect("job queue poisoned"));
-        self.queue_ready.notify_all();
+    /// Serves one `SHARD_CLAIM`: pop a pending batch, else steal half of
+    /// the largest outstanding grant, else wait for either to become
+    /// possible. Empty return = the service is shutting down and the
+    /// worker should exit.
+    fn claim(&self, conn_id: u64, worker: u32) -> Vec<SimKey> {
+        let mut q = self.lock();
+        q.conn_worker.insert(conn_id, worker);
+        q.workers.entry(worker).or_insert_with(|| {
+            let now = Instant::now();
+            WorkerAccount { cells: 0, walls: Vec::new(), first: now, last: now }
+        });
+        loop {
+            if self.core.shutting_down() {
+                return Vec::new();
+            }
+            if !q.pending.is_empty() {
+                let n = self.batch.min(q.pending.len());
+                let cells: Vec<SimKey> = q.pending.drain(..n).collect();
+                return q.grant(conn_id, cells);
+            }
+            // Work stealing: re-partition the straggler. The victim still
+            // simulates its stolen tail; whoever publishes a cell first
+            // wins and the loser's result is dropped as a duplicate.
+            let victim = q
+                .granted
+                .iter()
+                .filter(|&(&id, cells)| id != conn_id && cells.len() >= 2)
+                .max_by_key(|&(_, cells)| cells.len())
+                .map(|(&id, _)| id);
+            if let Some(victim) = victim {
+                let outstanding = q.granted.get_mut(&victim).expect("victim is present");
+                let stolen = outstanding.split_off(outstanding.len() - outstanding.len() / 2);
+                q.steals += 1;
+                return q.grant(conn_id, stolen);
+            }
+            q = self.wait_tick(q);
+        }
+    }
+
+    /// Records one `CELL_DONE`: the first publish wins, is journaled and
+    /// attributed; a result for a cell not in flight is counted and
+    /// dropped.
+    fn record(&self, conn_id: u64, key: SimKey, wall_ns: u64, metrics: Metrics) {
+        let mut guard = self.lock();
+        let q = &mut *guard;
+        q.activity.insert(conn_id, Instant::now());
+        if self.memo.publish(key, metrics) {
+            q.walls.insert(key, wall_ns);
+            if let Some(m) = q.manifest.as_mut() {
+                if let Err(e) = m.append(&key, &metrics) {
+                    if !q.manifest_broken {
+                        eprintln!(
+                            "warning: shard manifest append failed ({e}); \
+                             a resumed run will re-simulate from here"
+                        );
+                    }
+                    q.manifest_broken = true;
+                }
+            }
+            if let Some(acct) = q.conn_worker.get(&conn_id).and_then(|w| q.workers.get_mut(w)) {
+                acct.cells += 1;
+                acct.walls.push(wall_ns);
+                acct.last = Instant::now();
+            }
+        } else {
+            if self.memo.peek(&key).is_some_and(|first| first != metrics) {
+                // Determinism means this can only happen with a buggy or
+                // hostile worker; the first (journaled) result stands.
+                eprintln!(
+                    "warning: divergent duplicate result for {} {} on {} (l2 {}) dropped",
+                    key.kind, key.variant, key.memory, key.l2_latency
+                );
+            }
+            q.duplicates += 1;
+        }
+        // Retire the cell from every outstanding grant — after a steal it
+        // can be in two of them.
+        for outstanding in q.granted.values_mut() {
+            outstanding.retain(|&c| c != key);
+        }
+        drop(guard);
+        self.changed.notify_all();
+    }
+
+    /// Puts the unpublished cells of a revoked grant back at the front
+    /// of the queue; returns how many went back.
+    fn requeue(&self, q: &mut Queue, cells: Vec<SimKey>) -> usize {
+        let before = q.pending.len();
+        for key in cells.into_iter().rev() {
+            if self.memo.peek(&key).is_none() {
+                q.pending.push_front(key);
+            }
+        }
+        q.pending.len() - before
+    }
+
+    /// Requeues the grants of every connection whose heartbeat is older
+    /// than the lease. The connection itself is left alone: if the
+    /// stalled worker revives, its late results still dedupe through
+    /// first-publish-wins, and its next claim re-registers it. Returns
+    /// whether any grant expired.
+    fn expire_leases(&self, q: &mut Queue) -> bool {
+        let now = Instant::now();
+        let expired: Vec<u64> = q
+            .granted
+            .iter()
+            .filter(|(_, cells)| !cells.is_empty())
+            .filter(|(id, _)| {
+                q.activity.get(id).is_none_or(|&t| now.duration_since(t) > self.lease)
+            })
+            .map(|(&id, _)| id)
+            .collect();
+        for &id in &expired {
+            let cells = q.granted.remove(&id).unwrap_or_default();
+            let requeued = self.requeue(q, cells);
+            q.lease_expiries += 1;
+            eprintln!(
+                "warning: worker connection {id} went silent past its lease ({:.1}s); \
+                 {requeued} granted cell(s) requeued",
+                self.lease.as_secs_f64()
+            );
+        }
+        !expired.is_empty()
+    }
+
+    /// Waits for a queue change or one [`LEASE_TICK`], then expires
+    /// stale grants. Every loop that waits on the queue (idle local
+    /// threads, parked claims, the coordinator's supervision) goes
+    /// through here, so together they are the periodic lease tick of
+    /// both modes and no thread exists just to keep time.
+    pub(crate) fn wait_tick<'a>(&self, q: MutexGuard<'a, Queue>) -> MutexGuard<'a, Queue> {
+        let (mut q, _) = self.changed.wait_timeout(q, LEASE_TICK).expect("work queue poisoned");
+        if self.expire_leases(&mut q) {
+            self.changed.notify_all();
+        }
+        q
+    }
+
+    /// Called once when connection `conn_id` ends, panic included: its
+    /// unfinished cells go back to the queue.
+    pub(crate) fn closed(&self, conn_id: u64) {
+        let mut q = self.lock();
+        q.conn_worker.remove(&conn_id);
+        q.activity.remove(&conn_id);
+        if let Some(cells) = q.granted.remove(&conn_id) {
+            self.requeue(&mut q, cells);
+        }
+        drop(q);
+        self.changed.notify_all();
+    }
+
+    /// Sets the latch and wakes the accept loop and every waiter on the
+    /// queue. Taking the queue lock first means no waiter can be between
+    /// its latch check and its wait.
+    pub(crate) fn begin_shutdown(&self) {
+        self.core.begin_shutdown();
+        drop(self.lock());
+        self.changed.notify_all();
     }
 }
 
@@ -256,7 +522,7 @@ impl Service for ServeState {
 /// Panics propagate to the worker's `catch_unwind`; the [`ClaimGuard`]
 /// un-claims the pair so a failed build is retryable.
 fn resolve_workload(
-    state: &ServeState,
+    state: &CellService,
     kind: WorkloadKind,
     variant: IsaVariant,
 ) -> Arc<Workload> {
@@ -282,9 +548,9 @@ fn resolve_workload(
     }
 }
 
-/// One worker-pool iteration: simulate a claimed cell and publish (or,
+/// One local-pool iteration: simulate a queued cell and publish (or,
 /// on panic, un-claim) it.
-fn run_cell(state: &ServeState, key: SimKey) {
+fn run_cell(state: &CellService, key: SimKey) {
     let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
         let wl = resolve_workload(state, key.kind, key.variant);
         simulate(&key, &wl)
@@ -303,94 +569,43 @@ fn run_cell(state: &ServeState, key: SimKey) {
     }
 }
 
-fn worker_loop(state: &ServeState) {
+fn local_loop(state: &CellService) {
     loop {
         let key = {
-            let mut queue = state.queue.lock().expect("job queue poisoned");
+            let mut q = state.lock();
             loop {
-                if let Some(key) = queue.pop_front() {
+                if let Some(key) = q.pending.pop_front() {
                     break key;
                 }
                 if state.core.shutting_down() {
                     return; // drained + shutting down
                 }
-                queue = state.queue_ready.wait(queue).expect("job queue poisoned");
+                q = state.wait_tick(q);
             }
         };
         run_cell(state, key);
     }
 }
 
-/// Waits (deadline-bounded) for `key` to publish, mapping abandonment
-/// to [`ERR_SIM_FAILED`] and deadline expiry to [`ERR_TIMEOUT`]. The
-/// error reply is boxed to keep the happy path's `Result` small.
-fn wait_bounded(state: &ServeState, key: SimKey) -> Result<Metrics, Box<Response>> {
-    let mut pending = vec![key];
-    match state.memo.wait_any_for(&mut pending, RESULT_DEADLINE) {
-        Some(Ok((_, metrics))) => Ok(metrics),
-        Some(Err(_)) => Err(Box::new(Response::Error {
-            code: ERR_SIM_FAILED,
-            message: format!(
-                "simulation of {} {} on {} failed server-side",
-                key.kind, key.variant, key.memory
-            ),
-        })),
-        None => Err(Box::new(Response::Error {
-            code: ERR_TIMEOUT,
-            message: format!(
-                "simulation of {} {} on {} did not complete within {}s",
-                key.kind,
-                key.variant,
-                key.memory,
-                RESULT_DEADLINE.as_secs()
-            ),
-        })),
-    }
-}
-
-/// Obtains one cell's metrics: memo hit, coalesce onto an in-flight
-/// simulation, or claim + schedule onto the worker pool and wait
-/// (bounded by [`RESULT_DEADLINE`]).
-fn obtain(state: &ServeState, key: SimKey) -> Result<(Metrics, bool), Box<Response>> {
-    match state.memo.schedule(key) {
-        Schedule::Ready(m) => Ok((m, true)),
-        Schedule::InFlight => wait_bounded(state, key).map(|m| (m, false)),
-        Schedule::Claimed => {
-            state.enqueue(key);
-            wait_bounded(state, key).map(|m| (m, false))
-        }
-    }
-}
-
-/// Serves one `SIM` request. Returns false when the connection died.
-fn serve_sim(state: &ServeState, stream: &mut Stream, key: SimKey) -> bool {
-    let resp = match obtain(state, key) {
-        Ok((metrics, memo_hit)) => {
-            state.counters.results_streamed.fetch_add(1, Ordering::Relaxed);
-            Response::Result(CellReply { key, memo_hit, metrics })
-        }
-        Err(error) => *error,
-    };
-    respond(stream, &resp).is_ok()
-}
-
-/// Serves one `SWEEP` request: dedupes the grid, answers memo hits
-/// immediately, schedules the misses, then streams the remaining cells
-/// **in completion order** as the worker pool publishes them.
-fn serve_sweep(state: &ServeState, stream: &mut Stream, cells: Vec<SimKey>) -> bool {
-    let mut seen = HashSet::new();
-    let unique: Vec<SimKey> = cells.into_iter().filter(|c| seen.insert(*c)).collect();
-
+/// Streams the results of `cells` (deduped): memo hits immediately,
+/// then the rest **in completion order** as they publish, queueing
+/// every fresh cell. A cell whose simulation failed gets an
+/// [`ERR_SIM_FAILED`] reply and the stream carries on. Returns the
+/// results sent, or `None` once the connection is done for (it died,
+/// or [`RESULT_DEADLINE`] passed without a publish: that gets one
+/// [`ERR_TIMEOUT`] reply, and the cells stay queued and memoize, so a
+/// retrying client re-requests exactly the ones it never received).
+fn stream_cells(state: &CellService, stream: &mut Stream, cells: &[SimKey]) -> Option<u32> {
     let mut results: u32 = 0;
     let mut pending: Vec<SimKey> = Vec::new();
-    for key in unique {
+    for key in sweep::unique_cells(cells) {
         match state.memo.schedule(key) {
             Schedule::Ready(metrics) => {
                 state.counters.results_streamed.fetch_add(1, Ordering::Relaxed);
                 let reply = Response::Result(CellReply { key, memo_hit: true, metrics });
-                if respond(stream, &reply).is_err() {
-                    return false; // scheduled cells still complete + memoize
-                }
+                // On a dead connection queued cells still complete and
+                // memoize.
+                respond(stream, &reply).ok()?;
                 results += 1;
             }
             Schedule::InFlight => pending.push(key),
@@ -401,24 +616,17 @@ fn serve_sweep(state: &ServeState, stream: &mut Stream, cells: Vec<SimKey>) -> b
         }
     }
     while !pending.is_empty() {
-        let step = match state.memo.wait_any_for(&mut pending, RESULT_DEADLINE) {
-            Some(step) => step,
-            None => {
-                // Nothing published for the whole deadline. Reply typed
-                // and close: the undelivered cells stay scheduled and
-                // memoize when they finish, and a retrying client
-                // re-requests exactly the cells it never received.
-                let reply = Response::Error {
-                    code: ERR_TIMEOUT,
-                    message: format!(
-                        "no sweep result within {}s; {} cell(s) undelivered",
-                        RESULT_DEADLINE.as_secs(),
-                        pending.len()
-                    ),
-                };
-                let _ = respond(stream, &reply);
-                return false;
-            }
+        let Some(step) = state.memo.wait_any_for(&mut pending, RESULT_DEADLINE) else {
+            let reply = Response::Error {
+                code: ERR_TIMEOUT,
+                message: format!(
+                    "no result within {}s; {} cell(s) undelivered",
+                    RESULT_DEADLINE.as_secs(),
+                    pending.len()
+                ),
+            };
+            let _ = respond(stream, &reply);
+            return None;
         };
         let reply = match step {
             Ok((key, metrics)) => {
@@ -434,24 +642,42 @@ fn serve_sweep(state: &ServeState, stream: &mut Stream, cells: Vec<SimKey>) -> b
                 ),
             },
         };
-        if respond(stream, &reply).is_err() {
-            return false;
-        }
+        respond(stream, &reply).ok()?;
     }
-    respond(stream, &Response::Done { results }).is_ok()
+    Some(results)
 }
 
-/// A running server. Dropping the handle does **not** stop the server —
-/// call [`ServerHandle::wait`] (block until a client sends `SHUTDOWN`)
-/// or [`ServerHandle::shutdown`] (stop it now).
+/// A running service. Dropping the handle does **not** stop it — call
+/// [`ServerHandle::wait`] (block until a client sends `SHUTDOWN`) or
+/// [`ServerHandle::shutdown`] (stop it now).
 #[derive(Debug)]
 pub struct ServerHandle {
-    state: Arc<ServeState>,
-    accept: Option<JoinHandle<()>>,
-    workers: Vec<JoinHandle<()>>,
+    pub(crate) state: Arc<CellService>,
+    /// The local pool and the accept loop; all of them return once
+    /// shutdown has begun.
+    threads: Vec<JoinHandle<()>>,
 }
 
 impl ServerHandle {
+    /// Starts `state` on `listener` with `local_threads` pool threads.
+    pub(crate) fn start(state: CellService, listener: Listener, local_threads: usize) -> Self {
+        let state = Arc::new(state);
+        // Pool first: the spawn order decides which allocator arenas the
+        // simulation threads inherit, and spawning the accept loop first
+        // measurably raised the served benchmark's peak resident set.
+        let mut threads: Vec<JoinHandle<()>> = (0..local_threads)
+            .map(|i| {
+                let state = Arc::clone(&state);
+                std::thread::Builder::new()
+                    .name(format!("mom3d-sim-{i}"))
+                    .spawn(move || local_loop(&state))
+                    .expect("spawning a simulation worker")
+            })
+            .collect();
+        threads.push(server::spawn_accept(Arc::clone(&state), listener));
+        ServerHandle { state, threads }
+    }
+
     /// The endpoint the server actually listens on (for `tcp:…:0`, the
     /// kernel-assigned port is resolved in).
     pub fn endpoint(&self) -> &Endpoint {
@@ -464,20 +690,20 @@ impl ServerHandle {
         self.state.counters_snapshot()
     }
 
+    /// Joins every service thread — they return once shutdown has
+    /// begun and the local pool has run every queued cell — then drains
+    /// the open connections.
+    pub(crate) fn join(&mut self) {
+        for thread in self.threads.drain(..) {
+            let _ = thread.join();
+        }
+        self.state.core.drain();
+    }
 
     /// Blocks until the server shuts down (a client sent `SHUTDOWN`),
     /// then joins the worker pool and drains the open connections.
     pub fn wait(mut self) {
-        if let Some(accept) = self.accept.take() {
-            let _ = accept.join();
-        }
-        for worker in self.workers.drain(..) {
-            let _ = worker.join();
-        }
-        // With the worker pool joined, every scheduled cell is
-        // published: the drain only waits for handlers to finish
-        // streaming.
-        self.state.core.drain();
+        self.join();
         // Flush the final counter/memo-stat snapshot so a drained
         // server leaves a trace of what it did.
         let c = self.state.counters_snapshot();
@@ -517,58 +743,32 @@ impl ServerHandle {
 /// Propagates the bind error (address in use, bad address, permission).
 pub fn serve(endpoint: Endpoint, config: ServeConfig) -> io::Result<ServerHandle> {
     let threads = if config.threads == 0 { sweep::default_threads() } else { config.threads };
-    let mut runner = if config.small { Runner::small(config.seed) } else { Runner::new(config.seed) };
-    runner = runner.with_cache(config.cache);
-
+    let runner = if config.small { Runner::small(config.seed) } else { Runner::new(config.seed) };
     let (listener, endpoint) = server::bind(endpoint)?;
-
-    let workloads = MemoTable::new();
-    let built = if config.prebuild {
-        let pairs: Vec<(WorkloadKind, IsaVariant)> = WorkloadKind::ALL
-            .into_iter()
-            .flat_map(|k| IsaVariant::ALL.map(|v| (k, v)))
-            .collect();
-        sweep::prebuild_workloads(&mut runner, &pairs, threads);
-        for &(kind, variant) in &pairs {
-            if let Schedule::Claimed = workloads.schedule((kind, variant)) {
-                workloads.publish((kind, variant), runner.workload_arc(kind, variant));
-            }
-        }
-        pairs.len() as u64
-    } else {
-        0
-    };
-
     let hello = Hello {
         seed: config.seed,
         small: config.small,
         threads: threads.min(u32::MAX as usize) as u32,
     };
-    let state = Arc::new(ServeState {
-        core: Core::new(endpoint, config.max_connections, config.chaos, config.accept_panic_after),
-        runner,
-        hello,
-        workloads,
-        memo: MemoTable::new(),
-        queue: Mutex::new(VecDeque::new()),
-        queue_ready: Condvar::new(),
-        counters: Counters::default(),
-        queue_limit: if config.queue_limit == 0 { DEFAULT_QUEUE_LIMIT } else { config.queue_limit },
-    });
-    state.counters.workloads_built.store(built, Ordering::Relaxed);
-
-    let workers: Vec<JoinHandle<()>> = (0..threads)
-        .map(|i| {
-            let state = Arc::clone(&state);
-            std::thread::Builder::new()
-                .name(format!("mom3d-sim-{i}"))
-                .spawn(move || worker_loop(&state))
-                .expect("spawning a simulation worker")
-        })
-        .collect();
-    let accept = server::spawn_accept(Arc::clone(&state), listener);
-
-    Ok(ServerHandle { state, accept: Some(accept), workers })
+    let core = Core::new(endpoint, config.max_connections, config.chaos, config.accept_panic_after);
+    let mut state = CellService::new(core, runner.with_cache(config.cache), hello);
+    if config.queue_limit > 0 {
+        state.queue_limit = config.queue_limit;
+    }
+    if config.prebuild {
+        let pairs: Vec<(WorkloadKind, IsaVariant)> = WorkloadKind::ALL
+            .into_iter()
+            .flat_map(|k| IsaVariant::ALL.map(|v| (k, v)))
+            .collect();
+        sweep::prebuild_workloads(&mut state.runner, &pairs, threads);
+        for &(kind, variant) in &pairs {
+            if let Schedule::Claimed = state.workloads.schedule((kind, variant)) {
+                state.workloads.publish((kind, variant), state.runner.workload_arc(kind, variant));
+            }
+        }
+        state.counters.workloads_built.store(pairs.len() as u64, Ordering::Relaxed);
+    }
+    Ok(ServerHandle::start(state, listener, threads))
 }
 
 #[cfg(test)]
@@ -684,7 +884,7 @@ mod tests {
         // Wait until the backlog demonstrably exists, then a raw
         // (non-retrying) client must be shed with the typed error.
         let deadline = Instant::now() + Duration::from_secs(60);
-        while handle.state.queue.lock().unwrap().len() < 5 {
+        while handle.state.lock().pending.len() < 5 {
             assert!(Instant::now() < deadline, "the sweep backlog never built up");
             std::thread::sleep(Duration::from_millis(1));
         }

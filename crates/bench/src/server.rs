@@ -1,25 +1,22 @@
-//! The server core under `mom3d-serve` ([`crate::serve`]), the
-//! `mom3d-shard` coordinator ([`crate::shard`]) and the chaos proxy
-//! ([`crate::faults::ChaosProxy`]).
+//! The server core under the cell service ([`crate::serve`], which is
+//! both `mom3d-serve` and the `mom3d-shard` coordinator) and the chaos
+//! proxy ([`crate::faults::ChaosProxy`]).
 //!
-//! Both services hand out sweep cells over the frame
-//! [`crate::protocol`] and differ only in which requests they answer,
-//! so the plumbing lives here once: binding (a stale unix-socket file
-//! is removed, a `tcp:…:0` port is resolved), an accept loop that
-//! survives accept errors and unlinks the socket file on every exit
-//! path, the connection cap with its typed [`ERR_OVERLOADED`] refusal,
-//! the chaos wrap, read/write deadlines, one handler thread per
-//! connection running one frame loop, and one shutdown path: latch,
-//! self-connect, drain for [`DRAIN_GRACE`], force-close the
-//! stragglers, unlink. A service is a [`Service`] embedding a
-//! [`Core`]; the core is generic over it, so a request costs no
-//! allocation, lock or dynamic dispatch beyond the service's own.
+//! The plumbing lives here: binding (a stale unix-socket file is
+//! removed, a `tcp:…:0` port is resolved), an accept loop that survives
+//! accept errors and unlinks the socket file on every exit path, the
+//! connection cap with its typed [`ERR_OVERLOADED`] refusal, the chaos
+//! wrap, read/write deadlines, one handler thread per connection
+//! running one frame loop that hands every decoded request to the
+//! service, and one shutdown path: latch, self-connect, drain for
+//! [`DRAIN_GRACE`], force-close the stragglers, unlink.
 
 use crate::faults::{chaos_wrap, ChaosConfig, FrameWarnings};
 use crate::protocol::{
     read_frame_deadlined, write_frame, Endpoint, FrameError, Request, Response, Stream,
-    ERR_OVERLOADED, ERR_PROTOCOL, ERR_UNSUPPORTED,
+    ERR_OVERLOADED, ERR_PROTOCOL,
 };
+use crate::serve::CellService;
 use std::collections::HashMap;
 use std::io;
 use std::net::TcpListener;
@@ -42,6 +39,13 @@ const DRAIN_FORCE_WAIT: Duration = Duration::from_secs(5);
 
 /// Pause after a failed accept, so a persistent error cannot spin.
 const ACCEPT_RETRY: Duration = Duration::from_millis(10);
+
+/// Read deadline between requests: an idle connection is reclaimed.
+/// Sized for a worker, which is silent while it simulates a cell.
+const IDLE_TIMEOUT: Duration = Duration::from_secs(600);
+
+/// Write deadline: a peer that never drains its socket is dead.
+const WRITE_TIMEOUT: Duration = Duration::from_secs(30);
 
 /// A bound listening socket on either transport.
 pub(crate) enum Listener {
@@ -129,7 +133,7 @@ pub(crate) fn respond(stream: &mut Stream, resp: &Response) -> io::Result<()> {
     write_frame(stream, opcode, &payload)
 }
 
-/// What every service shares: endpoint, latch, connection registry and
+/// The service's endpoint, latch, connection registry and
 /// connection-level counters.
 #[derive(Debug)]
 pub(crate) struct Core {
@@ -180,6 +184,11 @@ impl Core {
         self.shutdown.load(Ordering::SeqCst)
     }
 
+    /// Sets the latch and wakes the accept loop.
+    pub(crate) fn begin_shutdown(&self) {
+        stop(&self.shutdown, &self.endpoint);
+    }
+
     /// Registers a fresh connection, or refuses it at the cap.
     fn admit(&self, id: u64, stream: &Stream) -> bool {
         let mut conns = self.conns.lock().expect("connection registry poisoned");
@@ -222,59 +231,26 @@ impl Core {
     }
 }
 
-/// One request-answering service over the shared [`Core`].
-pub(crate) trait Service: Send + Sync + 'static {
-    /// Who logs frame damage (`warning: {WHO}: …`).
-    const WHO: &'static str;
-    /// The [`ERR_UNSUPPORTED`] message for a request this service does
-    /// not speak: it names the service that does.
-    const REDIRECT: &'static str;
-    /// Read deadline between requests: an idle connection is reclaimed.
-    const IDLE_TIMEOUT: Duration;
-    /// Write deadline: a peer that never drains its socket is dead.
-    const WRITE_TIMEOUT: Duration;
-
-    fn core(&self) -> &Core;
-
-    /// Serves one decoded request on connection `conn_id`. Returns
-    /// `Some(alive)` when served (`false` closes the connection), or
-    /// `None` for a request this service does not speak.
-    fn handle(&self, conn_id: u64, stream: &mut Stream, req: Request) -> Option<bool>;
-
-    /// Wakes the service's own waiters so they observe the latch.
-    fn wake(&self);
-
-    /// Called once when connection `conn_id` ends, panic included.
-    fn closed(&self, _conn_id: u64) {}
-
-    /// Sets the latch and wakes the accept loop and the service.
-    fn begin_shutdown(&self) {
-        let core = self.core();
-        stop(&core.shutdown, &core.endpoint);
-        self.wake();
-    }
-}
-
 /// Ends a connection even when its handler panics: the service's
 /// `closed` hook, then the registry slot drain waits on.
-struct ConnGuard<'a, S: Service> {
-    state: &'a S,
+struct ConnGuard<'a> {
+    state: &'a CellService,
     id: u64,
 }
 
-impl<S: Service> Drop for ConnGuard<'_, S> {
+impl Drop for ConnGuard<'_> {
     fn drop(&mut self) {
         self.state.closed(self.id);
-        self.state.core().release(self.id);
+        self.state.core.release(self.id);
     }
 }
 
-/// Starts the accept loop of `state`'s service on a background thread.
-pub(crate) fn spawn_accept<S: Service>(state: Arc<S>, listener: Listener) -> JoinHandle<()> {
+/// Starts the accept loop of `state` on a background thread.
+pub(crate) fn spawn_accept(state: Arc<CellService>, listener: Listener) -> JoinHandle<()> {
     std::thread::Builder::new()
         .name("mom3d-accept".into())
         .spawn(move || {
-            let core = state.core();
+            let core = &state.core;
             let mut conn_seq: u64 = 0;
             accept_loop(&listener, &core.endpoint, &core.shutdown, |mut stream| {
                 let conn_id = conn_seq;
@@ -291,12 +267,12 @@ pub(crate) fn spawn_accept<S: Service>(state: Arc<S>, listener: Listener) -> Joi
                     return;
                 }
                 let stream = chaos_wrap(stream, core.chaos.as_ref(), conn_id);
-                stream.set_read_timeout(Some(S::IDLE_TIMEOUT));
-                stream.set_write_timeout(Some(S::WRITE_TIMEOUT));
+                stream.set_read_timeout(Some(IDLE_TIMEOUT));
+                stream.set_write_timeout(Some(WRITE_TIMEOUT));
                 let handler = Arc::clone(&state);
                 let spawned = std::thread::Builder::new()
                     .name("mom3d-conn".into())
-                    .spawn(move || handle_connection(&*handler, conn_id, stream));
+                    .spawn(move || handle_connection(&handler, conn_id, stream));
                 if spawned.is_err() {
                     // The handler never ran; its ConnGuard never will.
                     core.release(conn_id);
@@ -307,14 +283,14 @@ pub(crate) fn spawn_accept<S: Service>(state: Arc<S>, listener: Listener) -> Joi
 }
 
 /// The per-connection frame loop.
-fn handle_connection<S: Service>(state: &S, conn_id: u64, mut stream: Stream) {
+fn handle_connection(state: &CellService, conn_id: u64, mut stream: Stream) {
     let _guard = ConnGuard { state, id: conn_id };
-    let core = state.core();
+    let core = &state.core;
     core.connections.fetch_add(1, Ordering::Relaxed);
     loop {
         // Patient between requests, impatient mid-frame: a corrupted
         // length prefix cannot park this handler for the idle window.
-        let frame = match read_frame_deadlined(&mut stream, Some(S::IDLE_TIMEOUT)) {
+        let frame = match read_frame_deadlined(&mut stream, Some(IDLE_TIMEOUT)) {
             Ok(frame) => frame,
             Err(FrameError::Closed) => return, // clean disconnect
             Err(err) => {
@@ -323,7 +299,7 @@ fn handle_connection<S: Service>(state: &S, conn_id: u64, mut stream: Stream) {
                 if !matches!(err, FrameError::TimedOut) {
                     core.protocol_errors.fetch_add(1, Ordering::Relaxed);
                 }
-                core.warnings.note(S::WHO, &err);
+                core.warnings.note("cell service", &err);
                 // Damaged framing cannot be re-synchronized: one typed
                 // reply, best-effort, then close. A connection that died
                 // mid-frame or timed out has nobody to reply to.
@@ -336,18 +312,13 @@ fn handle_connection<S: Service>(state: &S, conn_id: u64, mut stream: Stream) {
         };
         let alive = match Request::decode(&frame) {
             // Well-framed but bad payload: the connection stays usable.
-            Err(e) => respond(&mut stream, &Response::Error { code: e.code, message: e.message }),
-            Ok(req) => match state.handle(conn_id, &mut stream, req) {
-                Some(true) => Ok(()),
-                Some(false) => return,
-                None => {
-                    let reply =
-                        Response::Error { code: ERR_UNSUPPORTED, message: S::REDIRECT.into() };
-                    respond(&mut stream, &reply)
-                }
-            },
+            Err(e) => {
+                let reply = Response::Error { code: e.code, message: e.message };
+                respond(&mut stream, &reply).is_ok()
+            }
+            Ok(req) => state.handle(conn_id, &mut stream, req),
         };
-        if alive.is_err() {
+        if !alive {
             return;
         }
     }

@@ -1,16 +1,20 @@
-//! Distributed sharded sweeps: a coordinator/worker pair that scales
-//! the [`crate::sweep`] engine across processes with crash-resume.
+//! Distributed sharded sweeps: the coordinator and the pull-based
+//! worker that scale the [`crate::sweep`] engine across processes with
+//! crash-resume.
 //!
-//! One **coordinator** ([`coordinate`]) owns a sweep grid. It binds an
-//! [`Endpoint`], optionally spawns `mom3d-shard-worker` child
-//! processes, and hands out batches of [`SimKey`]s on demand. Each
-//! **worker** ([`run_worker`]) is a plain protocol client: it claims a
-//! batch (`SHARD_CLAIM` → `SHARD_GRANT`), hydrates workloads from the
-//! shared on-disk image cache, simulates over the existing
+//! The **coordinator** ([`coordinate`]) is the cell service of
+//! [`crate::serve`] with no local threads: it binds an [`Endpoint`],
+//! claims the whole grid onto the service's work queue, optionally
+//! spawns and supervises `mom3d-shard-worker` child processes, and
+//! returns once every cell is published. Each **worker**
+//! ([`run_worker`]) is a plain protocol client of that service — of a
+//! coordinator or of a resident `mom3d-serve` alike: it claims a batch
+//! (`SHARD_CLAIM` → `SHARD_GRANT`), hydrates workloads from the shared
+//! on-disk image cache, simulates over the existing
 //! [`crate::Runner`]/[`crate::sweep`] paths, streams every result back
 //! (`CELL_DONE`, fire-and-forget) and closes the batch with
 //! `SHARD_FIN`. The grant carries the seed and geometry, so a worker
-//! needs no configuration beyond the coordinator's address — the wire
+//! needs no configuration beyond the service's address — the wire
 //! protocol is what a multi-machine deployment would speak.
 //!
 //! Correctness invariants, pinned by `tests/shard_determinism.rs` and
@@ -20,60 +24,47 @@
 //!   keyed by [`SimKey`], so the merged [`SweepReport`] is bit-identical
 //!   to a single-process [`sweep::run`] regardless of worker count,
 //!   scheduling, steals or crashes.
-//! * **Crash-resume.** Completed cells are journaled to a durable
+//! * **Crash-resume.** Published cells are journaled to a durable
 //!   checksummed [`crate::manifest`]; a killed run resumes with those
 //!   cells replayed (`reused: true`, counted in
 //!   [`Sharding::resumed_cells`]) and never re-simulated.
-//! * **First completion wins.** Work stealing and worker crashes can
-//!   put one cell in flight twice; the first `CELL_DONE` is recorded
-//!   (and journaled), later duplicates are counted and dropped.
+//! * **First publish wins.** Work stealing, lease expiry and worker
+//!   crashes can put one cell in flight twice; the first `CELL_DONE` is
+//!   published to the service's memo table (and journaled), later
+//!   duplicates are counted and dropped.
 //! * **Failure containment.** A worker that dies mid-shard only
 //!   returns its outstanding cells to the queue (and is respawned, with
-//!   a bounded budget, when the coordinator owns the process). Frame
-//!   damage costs one connection after an
-//!   [`ERR_PROTOCOL`](crate::protocol::ERR_PROTOCOL) reply;
-//!   non-shard requests get [`ERR_UNSUPPORTED`] on a usable connection.
-//!   Binding, connections and the drain on shutdown are the server core
-//!   shared with `mom3d-serve` (`crate::server`).
-//! * **Grant leases.** Every claim and `CELL_DONE` is a heartbeat; a
-//!   connection holding a grant that goes silent past the lease
-//!   (`DEFAULT_LEASE`, configurable via [`ShardConfig::lease`]) has
-//!   its grant requeued — a stalled-but-alive worker can delay a sweep
-//!   but never wedge it. Workers reconnect with seeded backoff
-//!   ([`crate::faults::Backoff`]) and re-claim; first-completion-wins
-//!   makes the overlap harmless.
+//!   a bounded budget, when the coordinator owns the process); a
+//!   stalled one loses its grant when the lease expires
+//!   ([`ShardConfig::lease`]). Frame damage costs one connection after
+//!   an [`ERR_PROTOCOL`](crate::protocol::ERR_PROTOCOL) reply. Workers
+//!   reconnect with seeded backoff ([`crate::faults::Backoff`]) after
+//!   any typed error and re-claim; first-publish-wins makes the overlap
+//!   harmless.
 
 use crate::faults::{Backoff, ChaosConfig};
 use crate::manifest::{self, Manifest};
-use crate::protocol::{
-    Client, Endpoint, Hello, Request, Response, Stream, ERR_UNSUPPORTED, MAX_SWEEP_CELLS,
-};
+use crate::protocol::{Client, Endpoint, Hello, Request, Response, MAX_SWEEP_CELLS};
 use crate::runner::{Runner, SimKey, WorkloadTiming};
-use crate::server::{self, respond, Core, Service};
+use crate::serve::{CellService, ServerHandle, DEFAULT_LEASE};
+use crate::server::{self, Core};
 use crate::stats;
 use crate::sweep::{self, CellResult, Sharding, SweepReport, WorkerStats};
 use crate::WorkloadCache;
-use mom3d_cpu::Metrics;
 use mom3d_kernels::{IsaVariant, WorkloadKind};
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::HashSet;
 use std::io;
 use std::path::PathBuf;
 use std::process::{Child, Command};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Crashed-worker respawn budget per worker slot.
 const RESPAWN_LIMIT: u32 = 5;
 
-/// Grant lease when [`ShardConfig::lease`] is zero: a connection
-/// holding granted cells whose last claim/completion is older than
-/// this has its grant requeued. Generous — `CELL_DONE` arrives per
-/// cell, so any live worker refreshes its lease far more often.
-const DEFAULT_LEASE: Duration = Duration::from_secs(120);
-
 /// Bound on consecutive reconnect-and-no-progress sessions before a
 /// worker gives up (guards against retry-looping at a dead or
-/// perpetually hostile coordinator).
+/// perpetually hostile service).
 const WORKER_SESSION_STRIKES: u32 = 20;
 
 /// How a [`coordinate`] run is configured.
@@ -130,260 +121,6 @@ impl Default for ShardConfig {
     }
 }
 
-/// Per-worker-id bookkeeping for the report's [`WorkerStats`].
-struct WorkerAccount {
-    cells: u64,
-    walls: Vec<u64>,
-    first: Instant,
-    last: Instant,
-}
-
-/// Everything behind the coordinator's one mutex.
-struct Queue {
-    /// Cells not yet granted to anyone.
-    pending: VecDeque<SimKey>,
-    /// Cells granted per connection and not yet completed; requeued
-    /// wholesale when the connection dies, halved by a steal.
-    granted: HashMap<u64, Vec<SimKey>>,
-    /// Which worker id each connection claimed as (stats attribution).
-    conn_worker: HashMap<u64, u32>,
-    /// First recorded result per cell.
-    done: HashMap<SimKey, Metrics>,
-    /// Simulation wall-clock (ns) per freshly-completed cell.
-    walls: HashMap<SimKey, u64>,
-    manifest: Option<Manifest>,
-    /// One append failed; warn once and stop pretending the journal is
-    /// complete.
-    manifest_broken: bool,
-    workers: HashMap<u32, WorkerAccount>,
-    steals: u64,
-    /// Results dropped because the cell was already done (stealing and
-    /// crash-requeue both make this legal) or outside the grid.
-    duplicates: u64,
-    /// Last request (claim / `CELL_DONE` / fin / ping) per connection —
-    /// the heartbeat the lease is checked against.
-    activity: HashMap<u64, Instant>,
-    /// Grants requeued because their connection went silent past the
-    /// lease.
-    lease_expiries: u64,
-}
-
-struct CoordState {
-    core: Core,
-    queue: Mutex<Queue>,
-    /// Notified on every completion, requeue and shutdown — wakes both
-    /// claim-waiters and the supervision loop.
-    changed: Condvar,
-    total: usize,
-    grid: HashSet<SimKey>,
-    batch: usize,
-    hello: Hello,
-    lease: Duration,
-}
-
-impl CoordState {
-    /// Refreshes `conn_id`'s lease heartbeat.
-    fn touch(&self, conn_id: u64) {
-        let mut q = self.queue.lock().expect("shard queue poisoned");
-        q.activity.insert(conn_id, Instant::now());
-    }
-
-    /// Requeues the grants of every connection whose heartbeat is older
-    /// than the lease. The connection itself is left alone: if the
-    /// stalled worker revives, its late results still dedupe through
-    /// first-completion-wins, and its next claim re-registers it.
-    fn expire_leases(&self) {
-        let now = Instant::now();
-        let mut q = self.queue.lock().expect("shard queue poisoned");
-        let expired: Vec<u64> = q
-            .granted
-            .iter()
-            .filter(|(_, cells)| !cells.is_empty())
-            .filter(|(id, _)| {
-                q.activity.get(id).is_none_or(|&t| now.duration_since(t) > self.lease)
-            })
-            .map(|(&id, _)| id)
-            .collect();
-        if expired.is_empty() {
-            return;
-        }
-        for id in expired {
-            let Some(cells) = q.granted.remove(&id) else { continue };
-            let mut requeued = 0usize;
-            for key in cells.into_iter().rev() {
-                if !q.done.contains_key(&key) {
-                    q.pending.push_front(key);
-                    requeued += 1;
-                }
-            }
-            q.lease_expiries += 1;
-            eprintln!(
-                "warning: worker connection {id} went silent past its lease ({:.1}s); \
-                 {requeued} granted cell(s) requeued",
-                self.lease.as_secs_f64()
-            );
-        }
-        drop(q);
-        self.changed.notify_all();
-    }
-}
-
-/// Serves one `SHARD_CLAIM`: pop a pending batch, else steal half of
-/// the largest outstanding grant, else wait for either to become
-/// possible. Empty return = the sweep is complete (or shutting down)
-/// and the worker should exit.
-fn claim(state: &CoordState, conn_id: u64, worker: u32) -> Vec<SimKey> {
-    let mut q = state.queue.lock().expect("shard queue poisoned");
-    q.conn_worker.insert(conn_id, worker);
-    q.workers.entry(worker).or_insert_with(|| {
-        let now = Instant::now();
-        WorkerAccount { cells: 0, walls: Vec::new(), first: now, last: now }
-    });
-    loop {
-        if q.done.len() >= state.total || state.core.shutting_down() {
-            return Vec::new();
-        }
-        if !q.pending.is_empty() {
-            let n = state.batch.min(q.pending.len());
-            let cells: Vec<SimKey> = q.pending.drain(..n).collect();
-            q.granted.entry(conn_id).or_default().extend(&cells);
-            // The claim may have parked for a while: the lease clock
-            // starts at grant time, not at request time.
-            q.activity.insert(conn_id, Instant::now());
-            return cells;
-        }
-        // Work stealing: re-partition the straggler. The victim still
-        // simulates its stolen tail; whoever finishes a cell first wins
-        // and the loser's result is dropped as a duplicate.
-        let victim = q
-            .granted
-            .iter()
-            .filter(|&(&id, cells)| id != conn_id && cells.len() >= 2)
-            .max_by_key(|&(_, cells)| cells.len())
-            .map(|(&id, _)| id);
-        if let Some(victim) = victim {
-            let outstanding = q.granted.get_mut(&victim).expect("victim is present");
-            let stolen = outstanding.split_off(outstanding.len() - outstanding.len() / 2);
-            q.steals += 1;
-            q.granted.entry(conn_id).or_default().extend(&stolen);
-            q.activity.insert(conn_id, Instant::now());
-            return stolen;
-        }
-        q = state.changed.wait(q).expect("shard queue poisoned");
-    }
-}
-
-/// Records one `CELL_DONE`: first completion wins, is journaled and
-/// attributed; duplicates and out-of-grid cells are counted and
-/// dropped.
-fn record(state: &CoordState, conn_id: u64, key: SimKey, wall_ns: u64, metrics: Metrics) {
-    let mut q = state.queue.lock().expect("shard queue poisoned");
-    if !state.grid.contains(&key) {
-        q.duplicates += 1;
-    } else if let Some(first) = q.done.get(&key) {
-        if *first != metrics {
-            // Determinism means this can only happen with a buggy or
-            // hostile worker; the first (journaled) result stands.
-            eprintln!(
-                "warning: divergent duplicate result for {} {} on {} (l2 {}) dropped",
-                key.kind, key.variant, key.memory, key.l2_latency
-            );
-        }
-        q.duplicates += 1;
-    } else {
-        q.done.insert(key, metrics);
-        q.walls.insert(key, wall_ns);
-        if let Some(m) = q.manifest.as_mut() {
-            if let Err(e) = m.append(&key, &metrics) {
-                if !q.manifest_broken {
-                    eprintln!(
-                        "warning: shard manifest append failed ({e}); \
-                         a resumed run will re-simulate from here"
-                    );
-                }
-                q.manifest_broken = true;
-            }
-        }
-        if let Some(&worker) = q.conn_worker.get(&conn_id) {
-            if let Some(acct) = q.workers.get_mut(&worker) {
-                acct.cells += 1;
-                acct.walls.push(wall_ns);
-                acct.last = Instant::now();
-            }
-        }
-    }
-    // Retire the cell from every outstanding grant — after a steal it
-    // can be in two of them.
-    for outstanding in q.granted.values_mut() {
-        outstanding.retain(|&c| c != key);
-    }
-    drop(q);
-    state.changed.notify_all();
-}
-
-impl Service for CoordState {
-    const WHO: &'static str = "mom3d-shard coordinator";
-    const REDIRECT: &'static str =
-        "simulation requests are served by mom3d-serve; this is the mom3d-shard coordinator";
-    /// Workers are silent only while simulating one cell, so this is
-    /// sized like the lease, not like a request/response gap.
-    const IDLE_TIMEOUT: Duration = Duration::from_secs(600);
-    /// Grants and FIN acks are small; a worker that never drains its
-    /// socket is dead.
-    const WRITE_TIMEOUT: Duration = Duration::from_secs(30);
-
-    fn core(&self) -> &Core {
-        &self.core
-    }
-
-    fn handle(&self, conn_id: u64, stream: &mut Stream, req: Request) -> Option<bool> {
-        self.touch(conn_id);
-        Some(match req {
-            Request::ShardClaim { worker } => {
-                let cells = claim(self, conn_id, worker);
-                let grant =
-                    Response::ShardGrant { seed: self.hello.seed, small: self.hello.small, cells };
-                respond(stream, &grant).is_ok()
-            }
-            Request::CellDone { key, wall_ns, metrics } => {
-                // Fire-and-forget: no reply, the worker is already
-                // simulating the next cell.
-                record(self, conn_id, key, wall_ns, metrics);
-                true
-            }
-            Request::ShardFin { completed } => {
-                respond(stream, &Response::Done { results: completed }).is_ok()
-            }
-            Request::Ping => respond(stream, &Response::Pong(self.hello)).is_ok(),
-            Request::Sim(_) | Request::Sweep(_) | Request::Stats | Request::Shutdown => return None,
-        })
-    }
-
-    /// Wakes claim waiters (they reply with empty grants) and the
-    /// supervision loop. Taking the queue lock first means no claim can
-    /// be between its latch check and its wait.
-    fn wake(&self) {
-        drop(self.queue.lock().expect("shard queue poisoned"));
-        self.changed.notify_all();
-    }
-
-    /// A dead connection's unfinished cells go back to the queue.
-    fn closed(&self, conn_id: u64) {
-        let mut q = self.queue.lock().expect("shard queue poisoned");
-        q.conn_worker.remove(&conn_id);
-        q.activity.remove(&conn_id);
-        if let Some(cells) = q.granted.remove(&conn_id) {
-            for key in cells.into_iter().rev() {
-                if !q.done.contains_key(&key) {
-                    q.pending.push_front(key);
-                }
-            }
-        }
-        drop(q);
-        self.changed.notify_all();
-    }
-}
-
 fn effective_batch(requested: usize, fresh: usize, workers: usize) -> usize {
     let batch = if requested > 0 {
         requested
@@ -418,43 +155,44 @@ fn spawn_worker(endpoint: &Endpoint, id: u32, config: &ShardConfig) -> io::Resul
     cmd.spawn()
 }
 
-fn remaining(state: &CoordState) -> usize {
-    let q = state.queue.lock().expect("shard queue poisoned");
-    state.total - q.done.len()
+/// Cells of `grid` not yet published.
+fn unfinished(state: &CellService, grid: &[SimKey]) -> usize {
+    grid.iter().filter(|key| state.memo.peek(key).is_none()).count()
 }
 
 /// Runs until the grid is complete: polls for crashed worker processes
 /// and respawns each (bounded by [`RESPAWN_LIMIT`]) while work remains.
 ///
 /// With no owned workers (`children` empty), externally-launched
-/// workers are trusted to finish the sweep and this only waits.
+/// workers are trusted to finish the sweep and this only waits — until
+/// a client's `SHUTDOWN` ends the run early.
 fn supervise(
-    state: &CoordState,
+    state: &CellService,
+    grid: &[SimKey],
     children: &mut [ChildSlot],
-    endpoint: &Endpoint,
     config: &ShardConfig,
 ) -> io::Result<()> {
     loop {
         {
-            let q = state.queue.lock().expect("shard queue poisoned");
-            if q.done.len() >= state.total {
+            let q = state.lock();
+            let left = unfinished(state, grid);
+            if left == 0 {
                 return Ok(());
             }
-            let _ = state
-                .changed
-                .wait_timeout(q, Duration::from_millis(100))
-                .expect("shard queue poisoned");
+            if state.core.shutting_down() {
+                return Err(io::Error::other(format!(
+                    "shut down by a client with {left} of {} cell(s) unfinished",
+                    grid.len()
+                )));
+            }
+            drop(state.wait_tick(q));
         }
-        // Liveness: every supervision tick checks grant leases, so a
-        // stalled-but-alive worker (open connection, no progress) has
-        // its cells requeued instead of wedging the sweep.
-        state.expire_leases();
         for slot in children.iter_mut() {
             if let Some(child) = slot.child.as_mut() {
                 match child.try_wait() {
                     Ok(Some(status)) => {
                         slot.child = None;
-                        if remaining(state) > 0 {
+                        if unfinished(state, grid) > 0 {
                             eprintln!(
                                 "warning: worker {} exited ({status}) with work remaining",
                                 slot.id
@@ -465,9 +203,9 @@ fn supervise(
                     Err(e) => eprintln!("warning: polling worker {} failed: {e}", slot.id),
                 }
             }
-            if slot.child.is_none() && slot.respawns > 0 && remaining(state) > 0 {
+            if slot.child.is_none() && slot.respawns > 0 && unfinished(state, grid) > 0 {
                 slot.respawns -= 1;
-                match spawn_worker(endpoint, slot.id, config) {
+                match spawn_worker(&state.core.endpoint, slot.id, config) {
                     Ok(child) => {
                         println!("spawned worker {} (pid {})", slot.id, child.id());
                         slot.child = Some(child);
@@ -479,7 +217,7 @@ fn supervise(
         if !children.is_empty()
             && children.iter().all(|s| s.child.is_none() && s.respawns == 0)
         {
-            let left = remaining(state);
+            let left = unfinished(state, grid);
             if left == 0 {
                 return Ok(());
             }
@@ -522,22 +260,22 @@ fn reap(children: &mut [ChildSlot]) {
 /// Binds `endpoint` (a `:0` TCP port is resolved), prints a readiness
 /// line and one `spawned worker N (pid P)` line per worker process to
 /// stdout (both machine-parsed by the kill-resume tests and CI), then
-/// serves claims until every cell has a recorded result. Cells already
-/// in the manifest (with `resume`) are replayed, reported `reused` with
-/// zero wall-clock, and never granted.
+/// serves the cell service until every cell of the grid is published.
+/// Cells already in the manifest (with `resume`) are replayed, reported
+/// `reused` with zero wall-clock, and never granted.
 ///
 /// # Errors
 ///
-/// Propagates bind/spawn/manifest-I/O failures, and reports worker
-/// attrition the respawn budget could not cover.
+/// Propagates bind/spawn/manifest-I/O failures, and reports a client's
+/// `SHUTDOWN` before the grid completed or worker attrition the respawn
+/// budget could not cover, naming the unfinished cell count.
 pub fn coordinate(
     endpoint: Endpoint,
     grid: &[SimKey],
     config: &ShardConfig,
 ) -> io::Result<SweepReport> {
     let start = Instant::now();
-    let mut seen = HashSet::new();
-    let unique: Vec<SimKey> = grid.iter().copied().filter(|&c| seen.insert(c)).collect();
+    let unique = sweep::unique_cells(grid);
     let total = unique.len();
 
     let (manifest_handle, resumed) = match &config.manifest {
@@ -551,43 +289,23 @@ pub fn coordinate(
         None => (None, Vec::new()),
     };
     let resumed_cells = resumed.len() as u64;
-    let done: HashMap<SimKey, Metrics> = resumed.iter().copied().collect();
-    let pending: VecDeque<SimKey> =
-        unique.iter().copied().filter(|k| !done.contains_key(k)).collect();
-    let fresh = pending.len();
-    let batch = effective_batch(config.batch, fresh, config.workers);
 
     let (listener, endpoint) = server::bind(endpoint)?;
+    // Cap 0: the coordinator takes the default connection cap.
+    let core = Core::new(endpoint.clone(), 0, config.chaos, None);
+    let runner = if config.small { Runner::small(config.seed) } else { Runner::new(config.seed) };
+    let hello = Hello { seed: config.seed, small: config.small, threads: 0 };
+    let mut service = CellService::new(core, runner, hello);
+    let fresh = service.preload(&unique, &resumed);
+    service.batch = effective_batch(config.batch, fresh, config.workers);
+    service.lease = if config.lease.is_zero() { DEFAULT_LEASE } else { config.lease };
+    service.lock().manifest = manifest_handle;
     println!(
         "mom3d-shard listening on {endpoint}; {fresh} of {total} cell(s) to simulate \
          ({resumed_cells} resumed)"
     );
-
-    let state = Arc::new(CoordState {
-        // Cap 0: the coordinator takes the default connection cap.
-        core: Core::new(endpoint.clone(), 0, config.chaos, None),
-        queue: Mutex::new(Queue {
-            pending,
-            granted: HashMap::new(),
-            conn_worker: HashMap::new(),
-            done,
-            walls: HashMap::new(),
-            manifest: manifest_handle,
-            manifest_broken: false,
-            workers: HashMap::new(),
-            steals: 0,
-            duplicates: 0,
-            activity: HashMap::new(),
-            lease_expiries: 0,
-        }),
-        changed: Condvar::new(),
-        total,
-        grid: unique.iter().copied().collect(),
-        batch,
-        hello: Hello { seed: config.seed, small: config.small, threads: 0 },
-        lease: if config.lease.is_zero() { DEFAULT_LEASE } else { config.lease },
-    });
-    let accept = server::spawn_accept(Arc::clone(&state), listener);
+    let mut handle = ServerHandle::start(service, listener, 0);
+    let state = Arc::clone(&handle.state);
 
     let mut children: Vec<ChildSlot> = (0..config.workers as u32)
         .map(|id| ChildSlot { id, child: None, respawns: RESPAWN_LIMIT })
@@ -608,19 +326,18 @@ pub fn coordinate(
         }
     }
     if result.is_ok() {
-        result = supervise(&state, &mut children, &endpoint, config);
+        result = supervise(&state, &unique, &mut children, config);
     }
 
-    // One shutdown path for success and failure: latch, wake claim
-    // waiters (they reply with empty grants) and the accept loop, reap
-    // the worker processes, then drain the open connections.
+    // One shutdown path for success and failure: latch, wake parked
+    // claims (they reply with empty grants) and the accept loop, reap
+    // the worker processes, then join the service and drain the open
+    // connections.
     state.begin_shutdown();
-    let _ = accept.join();
     reap(&mut children);
-    state.core.drain();
-    result?;
+    handle.join();
 
-    let q = state.queue.lock().expect("shard queue poisoned");
+    let q = state.lock();
     if q.duplicates > 0 {
         eprintln!(
             "note: {} duplicate result(s) dropped (work stealing / crash requeue overlap)",
@@ -633,26 +350,19 @@ pub fn coordinate(
             q.lease_expiries
         );
     }
+    result?;
+
     let resumed_set: HashSet<SimKey> = resumed.iter().map(|&(k, _)| k).collect();
     let cells: Vec<CellResult> = unique
         .iter()
         .map(|&key| {
-            let metrics = *q.done.get(&key).expect("every cell has a recorded result");
-            if resumed_set.contains(&key) {
-                CellResult {
-                    key,
-                    metrics,
-                    wall: Duration::ZERO,
-                    workload: WorkloadTiming::default(),
-                    reused: true,
-                }
-            } else {
-                let wall = Duration::from_nanos(q.walls.get(&key).copied().unwrap_or(0));
-                // Workload build/verify happened inside a worker
-                // process; the coordinator never builds, so the phase
-                // breakdown reports zero.
-                CellResult { key, metrics, wall, workload: WorkloadTiming::default(), reused: false }
-            }
+            let metrics = state.memo.peek(&key).expect("every cell is published");
+            let reused = resumed_set.contains(&key);
+            // Replayed cells cost nothing; workload build/verify happened
+            // inside a worker process, so the phase breakdown is zero.
+            let wall = if reused { 0 } else { q.walls.get(&key).copied().unwrap_or(0) };
+            let (wall, workload) = (Duration::from_nanos(wall), WorkloadTiming::default());
+            CellResult { key, metrics, wall, workload, reused }
         })
         .collect();
     let mut workers: Vec<WorkerStats> = q
@@ -698,7 +408,7 @@ pub struct WorkerConfig {
     /// Fault injection: after streaming this many `CELL_DONE`s in
     /// total, go silent for [`WorkerConfig::stall_for`] with the
     /// connection **open** — a stalled-not-dead worker. The
-    /// coordinator's grant lease must requeue the rest of the grant.
+    /// service's grant lease must requeue the rest of the grant.
     pub stall_after: Option<usize>,
     /// How long a [`WorkerConfig::stall_after`] stall lasts before the
     /// worker retires.
@@ -721,7 +431,7 @@ pub struct WorkerSummary {
 /// Per-frame I/O deadline a worker arms on every dialed connection.
 const WORKER_IO_TIMEOUT: Duration = Duration::from_secs(120);
 
-/// Dials the coordinator, retrying up to `attempts` (50 ms apart), and
+/// Dials the service, retrying up to `attempts` (50 ms apart), and
 /// arms deadlines (plus the configured chaos wrap) on the connection.
 fn dial(
     endpoint: &Endpoint,
@@ -746,12 +456,13 @@ fn dial(
 fn unexpected(context: &str, resp: &Response) -> io::Error {
     io::Error::new(
         io::ErrorKind::InvalidData,
-        format!("unexpected coordinator reply to {context}: {resp:?}"),
+        format!("unexpected service reply to {context}: {resp:?}"),
     )
 }
 
 /// Runs one shard worker to completion: claim, hydrate, simulate,
-/// stream, repeat — until the coordinator grants an empty batch.
+/// stream, repeat — until the service (a coordinator or a resident
+/// `mom3d-serve`) grants an empty batch at shutdown.
 ///
 /// The [`Runner`] is built lazily from the first grant's seed and
 /// geometry (the worker itself needs no sweep configuration) and kept
@@ -761,10 +472,10 @@ fn unexpected(context: &str, resp: &Response) -> io::Error {
 /// other harness entry point.
 ///
 /// **Fault discipline**: any mid-session transport or framing failure
-/// (reset, bit-flipped frame, expired deadline, typed transient error)
+/// (reset, bit-flipped frame, expired deadline, any typed error)
 /// drops the connection, sleeps one seeded-backoff rung and redials —
-/// the coordinator requeues the abandoned grant and re-grants on the
-/// next claim, and first-completion-wins makes any re-simulation
+/// the service requeues the abandoned grant and re-grants on the
+/// next claim, and first-publish-wins makes any re-simulation
 /// harmless. A redial that finds nobody listening is how service
 /// normally ends: results are fire-and-forget and already delivered,
 /// so the worker just retires. Reconnect loops without progress are
@@ -772,9 +483,7 @@ fn unexpected(context: &str, resp: &Response) -> io::Error {
 ///
 /// # Errors
 ///
-/// Propagates first-connect failures, a coordinator that answers
-/// claims with [`ERR_UNSUPPORTED`] (wrong endpoint), and strike-budget
-/// exhaustion.
+/// Propagates first-connect failures and strike-budget exhaustion.
 pub fn run_worker(endpoint: &Endpoint, config: &WorkerConfig) -> io::Result<WorkerSummary> {
     let threads = if config.threads == 0 { sweep::default_threads() } else { config.threads };
     let mut runner: Option<Runner> = None;
@@ -786,7 +495,7 @@ pub fn run_worker(endpoint: &Endpoint, config: &WorkerConfig) -> io::Result<Work
         Duration::from_millis(5),
         Duration::from_millis(200),
     );
-    // The coordinator may still be binding when a spawned worker
+    // The service may still be binding when a spawned worker
     // starts; the first dial waits up to ~5 s.
     let mut client = dial(endpoint, config, &mut conn_seq, 100)?;
     let mut progressed = false;
@@ -801,22 +510,18 @@ pub fn run_worker(endpoint: &Endpoint, config: &WorkerConfig) -> io::Result<Work
                 };
                 let (seed, small, cells) = match reply {
                     Response::ShardGrant { seed, small, cells } => (seed, small, cells),
-                    Response::Error { code: ERR_UNSUPPORTED, message } => {
-                        // Wrong endpoint (e.g. mom3d-serve): retrying
-                        // cannot help.
-                        return Err(io::Error::other(format!(
-                            "coordinator refused the claim: {message}"
-                        )));
-                    }
+                    // Every typed error is transient, ERR_UNSUPPORTED
+                    // included: the service speaks every request, so
+                    // that code means wire damage to the claim's opcode.
                     Response::Error { code, message } => {
                         break 'session io::Error::other(format!(
-                            "coordinator error on claim (code {code}): {message}"
+                            "service error on claim (code {code}): {message}"
                         ));
                     }
                     other => break 'session unexpected("SHARD_CLAIM", &other),
                 };
                 if cells.is_empty() {
-                    return Ok(summary); // the sweep is complete
+                    return Ok(summary); // the service is shutting down
                 }
                 summary.grants += 1;
                 progressed = true;
@@ -842,13 +547,13 @@ pub fn run_worker(endpoint: &Endpoint, config: &WorkerConfig) -> io::Result<Work
                     if config.abort_after.is_some_and(|n| summary.cells >= n as u64) {
                         // Vanish mid-shard like a crashed process: no
                         // FIN, just a dropped connection. The
-                        // coordinator requeues the rest of the grant.
+                        // service requeues the rest of the grant.
                         return Ok(summary);
                     }
                     if config.stall_after.is_some_and(|n| summary.cells >= n as u64) {
                         // Go silent with the connection *open* — the
                         // stalled-not-dead failure mode. The
-                        // coordinator's grant lease requeues the rest
+                        // service's grant lease requeues the rest
                         // of this grant; this worker then retires.
                         std::thread::sleep(config.stall_for);
                         return Ok(summary);
@@ -880,7 +585,7 @@ pub fn run_worker(endpoint: &Endpoint, config: &WorkerConfig) -> io::Result<Work
         std::thread::sleep(backoff.next_delay());
         client = match dial(endpoint, config, &mut conn_seq, 10) {
             Ok(client) => client,
-            // Nobody listening: the coordinator exited — normal end of
+            // Nobody listening: the service exited — normal end of
             // service once the sweep completed elsewhere.
             Err(_) => return Ok(summary),
         };

@@ -78,7 +78,7 @@ pub struct CellResult {
 pub struct WorkerStats {
     /// The worker's id (`--id` of `mom3d-shard-worker`).
     pub id: u32,
-    /// Cells this worker completed (first-completion wins; a cell a
+    /// Cells this worker completed (first publish wins; a cell a
     /// worker re-simulated after losing the race is not counted).
     pub cells: u64,
     /// Wall-clock between the worker's first claim and its last
@@ -500,8 +500,7 @@ pub fn run(runner: &mut Runner, cells: &[SimKey], threads: usize) -> SweepReport
     let start = Instant::now();
     let threads = threads.max(1);
 
-    let mut seen = HashSet::new();
-    let unique: Vec<SimKey> = cells.iter().copied().filter(|&c| seen.insert(c)).collect();
+    let unique = unique_cells(cells);
 
     // Phase 1: make every needed workload available behind an Arc.
     let pairs: Vec<(WorkloadKind, IsaVariant)> = unique
@@ -672,9 +671,14 @@ pub fn full_grid() -> Vec<SimKey> {
     cells.extend(cells_fig6());
     cells.extend(cells_fig9());
     cells.extend(cells_fig10());
-    let mut seen = HashSet::new();
-    cells.retain(|&c| seen.insert(c));
-    cells
+    unique_cells(&cells)
+}
+
+/// `cells` without repeats, each key at its first occurrence: the one
+/// grid dedupe every sweep, server and client path uses.
+pub fn unique_cells(cells: &[SimKey]) -> Vec<SimKey> {
+    let mut seen = HashSet::with_capacity(cells.len());
+    cells.iter().copied().filter(|&c| seen.insert(c)).collect()
 }
 
 /// Cells for every registered backend *beyond* the four paper

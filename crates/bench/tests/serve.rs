@@ -15,6 +15,7 @@ use mom3d_bench::protocol::{
     MAX_FRAME_PAYLOAD, MAX_SWEEP_CELLS, OP_PONG, OP_SIM, OP_SWEEP, PROTOCOL_MAGIC,
 };
 use mom3d_bench::serve::{serve, ServeConfig, ServerHandle};
+use mom3d_bench::shard::{run_worker, WorkerConfig};
 use mom3d_bench::{Runner, SimKey};
 use mom3d_cpu::MemorySystemKind;
 use mom3d_kernels::{IsaVariant, WorkloadKind};
@@ -74,33 +75,62 @@ fn garbage_opcode_gets_an_error_and_the_connection_stays_usable() {
 }
 
 #[test]
-fn shard_opcodes_are_unsupported_but_cost_nothing() {
-    // The shard opcodes are valid protocol, but they belong to the
-    // mom3d-shard coordinator. mom3d-serve must answer each with a
-    // typed ERR_UNSUPPORTED naming the right binary — and keep the
-    // connection usable (a misdirected worker should learn its
-    // mistake, not hang).
-    let handle = start("shard-opcodes");
-    let mut client = Client::connect(handle.endpoint()).unwrap();
-    let requests = [
-        Request::ShardClaim { worker: 1 },
-        Request::CellDone { key: key(20), wall_ns: 5, metrics: Default::default() },
-        Request::ShardFin { completed: 1 },
-    ];
-    for req in requests {
-        let Response::Error { code, message } = client.round_trip(&req).unwrap() else {
-            panic!("expected an error reply to {req:?}");
-        };
-        assert_eq!(code, ERR_UNSUPPORTED, "{req:?}");
-        assert!(message.contains("mom3d-shard"), "the error redirects the worker: {message}");
+fn an_attached_worker_stays_bit_identical_and_stray_results_never_memoize() {
+    // mom3d-serve speaks the worker dialect too: a CELL_DONE for a key
+    // nobody requested is dropped (never memoized), and a pull-based
+    // worker attached to the server shares its queue with the local
+    // pool without changing a single bit of what clients receive.
+    let handle = start("attached-worker");
+    let endpoint = handle.endpoint().clone();
+    let mut runner = Runner::small(SEED);
+
+    let stray = key(99);
+    let mut client = Client::connect(&endpoint).unwrap();
+    client
+        .send(&Request::CellDone { key: stray, wall_ns: 5, metrics: Default::default() })
+        .unwrap();
+    let Response::Result(reply) = client.round_trip(&Request::Sim(stray)).unwrap() else {
+        panic!("expected a result");
+    };
+    assert!(!reply.memo_hit, "the stray CELL_DONE must not have entered the memo table");
+    let direct = runner.metrics(stray.kind, stray.variant, stray.memory, stray.l2_latency);
+    assert_eq!(reply.metrics, direct);
+
+    let worker = {
+        let endpoint = endpoint.clone();
+        std::thread::spawn(move || {
+            run_worker(&endpoint, &WorkerConfig { id: 3, threads: 1, ..WorkerConfig::default() })
+        })
+    };
+    // Two requests so far; the worker's claim is the third.
+    wait_for_counters(&handle, |c| c.requests >= 3);
+
+    // Sweep fresh grids until the worker has published at least one
+    // cell (the local pool races it for every queued cell); every
+    // streamed result is bit-identical to serial execution.
+    let mut swept = 0u64;
+    for round in 0..20u32 {
+        let cells: Vec<SimKey> = [WorkloadKind::GsmEncode, WorkloadKind::JpegDecode]
+            .into_iter()
+            .flat_map(|kind| {
+                (0..3).map(move |i| SimKey { kind, l2_latency: 100 + 3 * round + i, ..key(0) })
+            })
+            .collect();
+        let mut sweeper = RetryClient::new(endpoint.clone(), RetryPolicy::default());
+        for reply in sweeper.sweep(&cells).expect("the sweep completes") {
+            let k = reply.key;
+            assert_eq!(reply.metrics, runner.metrics(k.kind, k.variant, k.memory, k.l2_latency));
+        }
+        swept += cells.len() as u64;
+        if handle.counters().sims_executed < swept + 1 {
+            break;
+        }
     }
-    // Three rejected shard requests later the connection still serves,
-    // and nothing was simulated or memoized.
-    assert!(matches!(client.round_trip(&Request::Ping).unwrap(), Response::Pong(_)));
-    let counters = handle.counters();
-    assert_eq!(counters.sims_executed, 0);
-    assert_eq!(counters.memo_misses, 0);
+    let local = handle.counters().sims_executed;
+    assert!(local < swept + 1, "the attached worker never published a cell");
     handle.shutdown();
+    let summary = worker.join().unwrap().expect("the worker retires on the shutdown grant");
+    assert!(summary.cells >= swept + 1 - local);
 }
 
 #[test]

@@ -2,9 +2,10 @@
 //! its workers: SIGKILLed workers are respawned and cost no completed
 //! cell; a SIGKILLed coordinator resumes from its manifest with
 //! `--resume` and never re-simulates journaled work; a corrupted
-//! manifest degrades to its valid prefix but never to a wrong cell; and
+//! manifest degrades to its valid prefix but never to a wrong cell;
 //! protocol abuse against the coordinator socket costs at most the
-//! abuser's own connection. Every merged result is compared per cell
+//! abuser's own connection; and a worker treats every typed error on a
+//! claim as transient. Every merged result is compared per cell
 //! against the in-process serial sweep — bit-identity is the contract
 //! under every failure mode.
 
@@ -18,8 +19,9 @@ use mom3d_bench::{sweep, Runner, SimKey};
 use mom3d_cpu::MemorySystemKind;
 use mom3d_kernels::{IsaVariant, WorkloadKind};
 use std::io::{BufRead, BufReader, Read, Write};
+use std::os::unix::net::UnixListener;
 use std::path::PathBuf;
-use std::process::{Child, Command, Stdio};
+use std::process::{Child, Command, ExitStatus, Stdio};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
@@ -129,14 +131,16 @@ fn wait_for_line(
     }
 }
 
-fn wait_success(mut child: Child, what: &str) {
+fn wait_success(child: Child, what: &str) {
+    let status = wait_exit(child, what);
+    assert!(status.success(), "{what} exited with {status}");
+}
+
+fn wait_exit(mut child: Child, what: &str) -> ExitStatus {
     let deadline = Instant::now() + Duration::from_secs(120);
     loop {
         match child.try_wait().expect("child pollable") {
-            Some(status) => {
-                assert!(status.success(), "{what} exited with {status}");
-                return;
-            }
+            Some(status) => return status,
             None => {
                 if Instant::now() >= deadline {
                     let _ = child.kill();
@@ -330,21 +334,26 @@ fn a_corrupted_manifest_degrades_to_its_valid_prefix_never_to_wrong_cells() {
 fn protocol_abuse_costs_at_most_the_abusers_connection() {
     let sock = tmp("fuzz", "sock");
     let json_path = tmp("fuzz", "json");
+    let manifest = tmp("fuzz", "mwm");
+    let _ = std::fs::remove_file(&manifest);
     let seed = SEED.to_string();
     // --workers 0: the coordinator serves externally-launched workers,
     // so the abuse below happens while the sweep is genuinely live.
-    let coord = start_coordinator(&[
-        &seed,
+    let args = [
+        seed.as_str(),
         "--small",
         "--workers",
         "0",
         "--batch",
         "8",
+        "--manifest",
+        manifest.to_str().unwrap(),
         "--json",
         json_path.to_str().unwrap(),
         "--unix",
         sock.to_str().unwrap(),
-    ]);
+    ];
+    let coord = start_coordinator(&args);
     wait_for_line(&coord.stdout, |l| l.contains("listening on"), "readiness line");
     let endpoint = Endpoint::Unix(sock.clone());
 
@@ -378,14 +387,8 @@ fn protocol_abuse_costs_at_most_the_abusers_connection() {
     client
         .send(&Request::CellDone { key: foreign, wall_ns: 1, metrics: Default::default() })
         .unwrap();
-    // Simulation opcodes belong to mom3d-serve: typed redirect.
-    let Response::Error { code, message } =
-        client.round_trip(&Request::Sim(foreign)).unwrap()
-    else {
-        panic!("expected an error reply");
-    };
-    assert_eq!(code, ERR_UNSUPPORTED);
-    assert!(message.contains("mom3d-serve"), "the error redirects the client: {message}");
+    // The coordinator is the cell service: introspection is answered.
+    assert!(matches!(client.round_trip(&Request::Stats).unwrap(), Response::Stats(_)));
     assert!(matches!(client.round_trip(&Request::Ping).unwrap(), Response::Pong(_)));
     drop(client);
 
@@ -401,19 +404,16 @@ fn protocol_abuse_costs_at_most_the_abusers_connection() {
     assert_eq!(code, ERR_PROTOCOL);
     assert!(read_frame(&mut stream).is_err(), "closed after frame damage");
 
-    // A real worker joins after all that abuse and the sweep completes,
-    // bit-identical, with the foreign cell dropped as a duplicate.
-    let worker = Command::new(env!("CARGO_BIN_EXE_mom3d-shard-worker"))
-        .args(["--unix", sock.to_str().unwrap(), "--id", "0"])
-        .stdout(Stdio::null())
-        .stderr(Stdio::null())
-        .spawn()
-        .expect("mom3d-shard-worker spawns");
-    wait_success(coord.child, "mom3d-shard under protocol abuse");
-    wait_success(worker, "mom3d-shard-worker");
-
-    let json = read_json(&json_path);
-    assert_eq!(cell_signatures(&json), serial_signatures(), "abuse changed results");
+    // A SHUTDOWN ends the run before any cell was simulated: the
+    // coordinator fails naming what is left, with the foreign cell
+    // dropped as a duplicate.
+    let mut client = Client::connect(&endpoint).unwrap();
+    assert_eq!(client.round_trip(&Request::Shutdown).unwrap(), Response::Bye);
+    let status = wait_exit(coord.child, "mom3d-shard after SHUTDOWN");
+    assert!(!status.success(), "an unfinished sweep must fail");
+    let total = sweep::full_grid().len();
+    let unfinished = format!("{total} of {total} cell(s) unfinished");
+    wait_for_line(&coord.stderr, |l| l.contains(&unfinished), "the unfinished-cells error");
     let note = wait_for_line(
         &coord.stderr,
         |l| l.contains("duplicate result(s) dropped"),
@@ -421,9 +421,56 @@ fn protocol_abuse_costs_at_most_the_abusers_connection() {
     );
     assert!(note.contains("1 duplicate"), "exactly the foreign cell: {note}");
 
-    for p in [&sock, &json_path] {
+    // Resuming from that manifest with a real worker finishes the grid,
+    // bit-identical.
+    let resume_args: Vec<&str> = args.iter().copied().chain(["--resume"]).collect();
+    let coord = start_coordinator(&resume_args);
+    wait_for_line(&coord.stdout, |l| l.contains("listening on"), "readiness line");
+    let worker = Command::new(env!("CARGO_BIN_EXE_mom3d-shard-worker"))
+        .args(["--unix", sock.to_str().unwrap(), "--id", "0"])
+        .stdout(Stdio::null())
+        .stderr(Stdio::null())
+        .spawn()
+        .expect("mom3d-shard-worker spawns");
+    wait_success(coord.child, "resumed mom3d-shard");
+    wait_success(worker, "mom3d-shard-worker");
+
+    let json = read_json(&json_path);
+    assert_eq!(cell_signatures(&json), serial_signatures(), "abuse changed results");
+
+    for p in [&sock, &json_path, &manifest] {
         let _ = std::fs::remove_file(p);
     }
+}
+
+#[test]
+fn a_worker_redials_after_an_unsupported_reply_to_its_claim() {
+    // The frame checksum does not cover the header, so wire damage can
+    // turn a claim into a non-request opcode, which the service answers
+    // with ERR_UNSUPPORTED. That is transient like every typed error: the
+    // worker ends the session, backs off and redials.
+    let sock = tmp("unsupported-claim", "sock");
+    let _ = std::fs::remove_file(&sock);
+    let listener = UnixListener::bind(&sock).expect("stub binds");
+    let stub = std::thread::spawn(move || {
+        let replies = [
+            Response::Error { code: ERR_UNSUPPORTED, message: "opcode 0x86 is not a request".into() },
+            Response::ShardGrant { seed: SEED, small: true, cells: Vec::new() },
+        ];
+        for reply in replies {
+            let (mut conn, _) = listener.accept().expect("the worker dials");
+            let frame = read_frame(&mut conn).expect("a claim arrives");
+            assert!(matches!(Request::decode(&frame), Ok(Request::ShardClaim { worker: 4 })));
+            let (opcode, payload) = reply.encode();
+            write_frame(&mut conn, opcode, &payload).unwrap();
+        }
+    });
+    let config = WorkerConfig { id: 4, threads: 1, ..WorkerConfig::default() };
+    let summary = run_worker(&Endpoint::Unix(sock.clone()), &config)
+        .expect("ERR_UNSUPPORTED on a claim is transient");
+    assert_eq!(summary.cells, 0);
+    stub.join().expect("the stub saw both claims");
+    let _ = std::fs::remove_file(&sock);
 }
 
 #[test]
