@@ -1,7 +1,7 @@
 //! Workload + simulation cache shared by the experiment binaries.
 
 use crate::cache::WorkloadCache;
-use mom3d_cpu::{BackendId, Metrics, Processor, ProcessorConfig};
+use mom3d_cpu::{BackendId, Metrics, PreparedTrace, Processor, ProcessorConfig, SimError};
 #[cfg(test)]
 use mom3d_cpu::MemorySystemKind;
 use mom3d_kernels::{ImageKey, IsaVariant, Workload, WorkloadKind};
@@ -302,9 +302,23 @@ impl Runner {
 ///
 /// Panics if the simulator rejects the trace.
 pub(crate) fn simulate(key: &SimKey, wl: &Workload) -> Metrics {
-    Processor::new(key.config())
-        .run(wl.trace())
-        .unwrap_or_else(|e| panic!("simulating {} {} on {:?}: {e}", key.kind, key.variant, key.memory))
+    expect_simulated(key, Processor::new(key.config()).run(wl.trace()))
+}
+
+/// [`simulate`] on per-trace state shared with the other cells of the
+/// same trace (how the sweep workers run).
+///
+/// # Panics
+///
+/// Panics if the simulator rejects the trace.
+pub(crate) fn simulate_prepared(key: &SimKey, prepared: &PreparedTrace<'_>) -> Metrics {
+    expect_simulated(key, Processor::new(key.config()).run_prepared(prepared))
+}
+
+fn expect_simulated(key: &SimKey, result: Result<Metrics, SimError>) -> Metrics {
+    result.unwrap_or_else(|e| {
+        panic!("simulating {} {} on {:?}: {e}", key.kind, key.variant, key.memory)
+    })
 }
 
 /// Verifies a freshly built workload, timing the emulator run and

@@ -11,7 +11,9 @@
 //!    the functional emulator against the scalar reference);
 //! 2. [`run`] partitions the simulation cells over [`std::thread::scope`]
 //!    workers pulling from an atomic work queue, sharing the verified
-//!    workloads read-only behind [`Arc`];
+//!    workloads read-only behind [`Arc`]; a trace's cells are queued back
+//!    to back and share one [`PreparedTrace`] (dependence graph, warmed
+//!    caches), freed after the trace's last cell;
 //! 3. the per-worker [`Metrics`] are merged back into the [`Runner`]
 //!    cache in deterministic (enumeration) order, so the figure/table
 //!    formatters downstream see exactly what a serial run would have
@@ -34,9 +36,10 @@
 
 use crate::cache::CacheStats;
 use crate::json::json_string;
-use crate::runner::{simulate, verify_timed, Runner, SimKey, WorkloadTiming};
+use crate::runner::{simulate_prepared, verify_timed, Runner, SimKey, WorkloadTiming};
 use crate::stats::Percentiles;
-use mom3d_cpu::{BackendId, BackendRegistry, MemorySystemKind, Metrics};
+use mom3d_cpu::{BackendId, BackendRegistry, MemorySystemKind, Metrics, PreparedTrace};
+use mom3d_isa::Trace;
 use mom3d_kernels::{IsaVariant, Workload, WorkloadKind};
 use std::collections::{HashMap, HashSet};
 use std::path::{Path, PathBuf};
@@ -510,13 +513,26 @@ pub fn run(runner: &mut Runner, cells: &[SimKey], threads: usize) -> SweepReport
         .collect();
     prebuild_workloads(runner, &pairs, threads);
 
-    // Phase 2: simulate the uncached cells.
+    // Phase 2: simulate the uncached cells, grouped by trace. The cells
+    // of a trace run back to back on one shared `PreparedTrace`
+    // (dependence graph, warmed caches), which the trace's last cell
+    // drops, so at most about one trace per worker holds that state at
+    // any time. Traces keep their first-occurrence order and cells their
+    // enumeration order within a trace.
     let mut jobs: Vec<(SimKey, Arc<Workload>)> = Vec::new();
+    let mut group_of: HashMap<(WorkloadKind, IsaVariant), usize> = HashMap::new();
+    let mut groups: Vec<TraceGroup<'_>> = Vec::new();
     for &c in &unique {
         if runner.cached_metrics(&c).is_none() {
+            let g = *group_of.entry((c.kind, c.variant)).or_insert_with(|| {
+                groups.push(TraceGroup::default());
+                groups.len() - 1
+            });
+            *groups[g].left.get_mut() += 1;
             jobs.push((c, runner.workload_arc(c.kind, c.variant)));
         }
     }
+    jobs.sort_by_key(|(c, _)| group_of[&(c.kind, c.variant)]);
     let next = AtomicUsize::new(0);
     let mut fresh: Vec<(usize, Metrics, Duration)> = Vec::with_capacity(jobs.len());
     let workers = threads.clamp(1, jobs.len().max(1));
@@ -528,8 +544,10 @@ pub fn run(runner: &mut Runner, cells: &[SimKey], threads: usize) -> SweepReport
                     loop {
                         let i = next.fetch_add(1, Ordering::Relaxed);
                         let Some((key, wl)) = jobs.get(i) else { break };
+                        let group = &groups[group_of[&(key.kind, key.variant)]];
                         let t0 = Instant::now();
-                        let metrics = simulate(key, wl);
+                        let metrics = simulate_prepared(key, &group.prepared(wl.trace()));
+                        group.cell_done();
                         out.push((i, metrics, t0.elapsed()));
                     }
                     out
@@ -570,6 +588,30 @@ pub fn run(runner: &mut Runner, cells: &[SimKey], threads: usize) -> SweepReport
         workload_cache: runner.cache().map(|c| c.stats()),
         sharding: None,
         cells,
+    }
+}
+
+/// The shared per-trace state of one trace's cells in [`run`], alive
+/// from the first of them to start until the last to finish.
+#[derive(Default)]
+struct TraceGroup<'t> {
+    state: Mutex<Option<Arc<PreparedTrace<'t>>>>,
+    /// Cells of the trace not yet finished.
+    left: AtomicUsize,
+}
+
+impl<'t> TraceGroup<'t> {
+    /// The trace's shared state, created by the first cell to ask.
+    fn prepared(&self, trace: &'t Trace) -> Arc<PreparedTrace<'t>> {
+        let mut state = self.state.lock().expect("trace state poisoned");
+        Arc::clone(state.get_or_insert_with(|| Arc::new(PreparedTrace::new(trace))))
+    }
+
+    /// Records a finished cell; the last one frees the shared state.
+    fn cell_done(&self) {
+        if self.left.fetch_sub(1, Ordering::Relaxed) == 1 {
+            *self.state.lock().expect("trace state poisoned") = None;
+        }
     }
 }
 

@@ -56,6 +56,7 @@ mod error;
 mod memsys;
 mod metrics;
 mod pipeline;
+mod prepared;
 
 pub use config::{MemorySystemKind, ProcessorConfig};
 // Re-exported so downstream crates can name backends without a direct
@@ -69,3 +70,4 @@ pub use error::SimError;
 pub use memsys::MemorySystem;
 pub use metrics::Metrics;
 pub use pipeline::Processor;
+pub use prepared::PreparedTrace;

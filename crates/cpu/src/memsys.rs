@@ -61,6 +61,16 @@ impl MemorySystem {
     /// ([`crate::Processor::run`] checks this first and returns
     /// [`crate::SimError::UnknownBackend`] instead).
     pub fn new(config: &ProcessorConfig) -> Self {
+        Self::with_hierarchy(config, MemHierarchy::new(config.hierarchy))
+    }
+
+    /// Builds the memory system around an existing (typically warmed and
+    /// re-timed) hierarchy instead of an empty one.
+    ///
+    /// # Panics
+    ///
+    /// As [`MemorySystem::new`].
+    pub(crate) fn with_hierarchy(config: &ProcessorConfig, hierarchy: MemHierarchy) -> Self {
         let backend = BackendRegistry::build(config.memory, &config.backend_params())
             .unwrap_or_else(|| {
                 panic!("memory backend {:?} is not registered", config.memory.as_str())
@@ -68,7 +78,7 @@ impl MemorySystem {
         MemorySystem {
             ideal: backend.is_ideal(),
             backend,
-            hierarchy: MemHierarchy::new(config.hierarchy),
+            hierarchy,
             banked: config.banked,
             port_accesses: 0,
             l2_activity: 0,
@@ -101,30 +111,13 @@ impl MemorySystem {
 
     /// Pre-touches every line referenced by `trace` (both cache levels),
     /// then clears the hierarchy statistics, so a subsequent simulation
-    /// measures steady-state hit behaviour.
+    /// measures steady-state hit behaviour. A no-op on an ideal backend,
+    /// which never consults the hierarchy.
     pub fn warm_from_trace(&mut self, trace: &mom3d_isa::Trace) {
         if self.ideal {
             return;
         }
-        for instr in trace.iter() {
-            let Some(mem) = &instr.mem else { continue };
-            match instr.opcode.class() {
-                mom3d_isa::ExecClass::Mem => {
-                    self.hierarchy.scalar_access(mem.base, mem.elem_bytes, instr.opcode.is_store());
-                }
-                mom3d_isa::ExecClass::VecMem => {
-                    self.blocks_buf.clear();
-                    self.blocks_buf.extend(mem.blocks());
-                    let line_bytes = self.hierarchy.config().l2.line_bytes as u64;
-                    self.line_set.collect(&self.blocks_buf, line_bytes);
-                    for &line in self.line_set.lines() {
-                        self.hierarchy.vector_line_access(line, instr.opcode.is_store());
-                    }
-                }
-                _ => {}
-            }
-        }
-        self.hierarchy.reset_stats();
+        warm(&mut self.hierarchy, trace, &mut self.blocks_buf, &mut self.line_set);
     }
 
     /// Performs a scalar or µSIMD access; returns its latency.
@@ -176,6 +169,36 @@ impl MemorySystem {
             latency: hierarchy.l2_latency + miss_penalty,
         }
     }
+}
+
+/// Pre-touches every line `trace` references in `hierarchy` and clears
+/// its statistics. Only the access sequence and the cache geometry
+/// decide the resulting contents; the latencies play no part.
+pub(crate) fn warm(
+    hierarchy: &mut MemHierarchy,
+    trace: &mom3d_isa::Trace,
+    blocks_buf: &mut Vec<(u64, u32)>,
+    line_set: &mut LineSet,
+) {
+    let line_bytes = hierarchy.config().l2.line_bytes as u64;
+    for instr in trace.iter() {
+        let Some(mem) = &instr.mem else { continue };
+        match instr.opcode.class() {
+            mom3d_isa::ExecClass::Mem => {
+                hierarchy.scalar_access(mem.base, mem.elem_bytes, instr.opcode.is_store());
+            }
+            mom3d_isa::ExecClass::VecMem => {
+                blocks_buf.clear();
+                blocks_buf.extend(mem.blocks());
+                line_set.collect(blocks_buf, line_bytes);
+                for &line in line_set.lines() {
+                    hierarchy.vector_line_access(line, instr.opcode.is_store());
+                }
+            }
+            _ => {}
+        }
+    }
+    hierarchy.reset_stats();
 }
 
 #[cfg(test)]

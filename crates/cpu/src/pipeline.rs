@@ -11,16 +11,26 @@
 //!   of re-polling every operand of every waiting instruction every
 //!   cycle. Fully woken instructions sit in a time-ordered heap and
 //!   drop into the in-order ready list when their operands mature.
+//! * **Per-class early exit**: the issue scan keeps one slot per
+//!   execution class, vector memory apart from scalar memory. A slot
+//!   closes when its budget is spent or when one of its entries finds
+//!   every unit busy; within a cycle neither is ever freed, so a closed
+//!   slot's entries are stepped over unevaluated and the scan ends once
+//!   every slot is closed or out of unscanned entries.
 //! * **Idle-cycle skipping**: a cycle with no commit, no issue and no
 //!   fetch changes no architectural or resource state, so `now` jumps
-//!   straight to the next completion (`done_at` of an in-flight
-//!   instruction) or functional-unit release ([`Units::free_at`])
-//!   rather than stepping by 1.
+//!   straight to the next completion (the top of a min-heap of issued,
+//!   uncommitted instructions' `done_at`) or functional-unit release
+//!   ([`Units::free_at`]) rather than stepping by 1.
 //! * **Pre-decoded traces** ([`DecodedProgram`]): opcode class, base
 //!   latency, FU occupancy, memory-descriptor index and packed-op count
 //!   are decoded once per run into a dense SoA-style array, so the
 //!   issue loop touches one small `Copy` record per instruction instead
 //!   of chasing `Instruction` fields.
+//! * **Per-trace state** ([`PreparedTrace`]): the wakeup lists and the
+//!   warmed caches depend only on the trace (and the cache geometry), so
+//!   [`Processor::run_prepared`] shares them between runs of one trace;
+//!   [`Processor::run`] builds its own for a one-off run.
 //!
 //! The produced [`Metrics`] are **bit-identical** to the original loop:
 //! active cycles run the same commit/issue/fetch logic in the same
@@ -33,11 +43,13 @@
 //! `tests/backend_equivalence.rs`).
 
 use crate::config::ProcessorConfig;
-use crate::depgraph::DepGraph;
+use crate::depgraph::{DepGraph, WakeupLists};
 use crate::error::SimError;
 use crate::memsys::MemorySystem;
 use crate::metrics::Metrics;
+use crate::prepared::PreparedTrace;
 use mom3d_isa::{ExecClass, MemAccess, Opcode, Trace};
+use mom3d_mem::{BackendEntry, BackendRegistry};
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
 
@@ -150,14 +162,23 @@ impl DecodedProgram {
     }
 }
 
-/// Issue-budget slot of an execution class (scalar and vector memory
-/// share the memory issue width).
-fn budget_slot(class: ExecClass) -> usize {
+/// Scan slots of the issue loop's early exit, one per execution class.
+/// Vector memory has a slot of its own although it draws on the memory
+/// issue budget with scalar memory: a busy vector port closes vector
+/// memory for the cycle but leaves scalar loads free to issue.
+const INT: usize = 0;
+const SIMD: usize = 1;
+const MEM: usize = 2;
+const VEC_MEM: usize = 3;
+const MOV3D: usize = 4;
+
+fn scan_slot(class: ExecClass) -> usize {
     match class {
-        ExecClass::Int => 0,
-        ExecClass::Simd => 1,
-        ExecClass::Mem | ExecClass::VecMem => 2,
-        ExecClass::Mov3d => 3,
+        ExecClass::Int => INT,
+        ExecClass::Simd => SIMD,
+        ExecClass::Mem => MEM,
+        ExecClass::VecMem => VEC_MEM,
+        ExecClass::Mov3d => MOV3D,
     }
 }
 
@@ -165,7 +186,8 @@ fn budget_slot(class: ExecClass) -> usize {
 ///
 /// See the crate docs for the modeled resources. One `Processor` is a
 /// reusable configuration; [`Processor::run`] simulates one trace and
-/// returns its [`Metrics`].
+/// returns its [`Metrics`], and [`Processor::run_prepared`] does the
+/// same on per-trace state shared with other runs of that trace.
 #[derive(Debug, Clone)]
 pub struct Processor {
     config: ProcessorConfig,
@@ -195,15 +217,49 @@ impl Processor {
     /// register file, or [`SimError::Malformed`] for memory opcodes
     /// without descriptors.
     pub fn run(&self, trace: &Trace) -> Result<Metrics, SimError> {
+        let backend = self.check(trace)?;
+        // A one-off run has nothing to share: build and warm in place.
+        let wake = DepGraph::build(trace).invert();
+        let prog = DecodedProgram::decode(trace, &self.config);
+        let mut memsys = MemorySystem::new(&self.config);
+        if self.config.warm_caches {
+            memsys.warm_from_trace(trace);
+        }
+        Ok(self.simulate(&prog, &wake, memsys, &backend))
+    }
+
+    /// Simulates the prepared trace to completion, taking its
+    /// dependence graph and warmed caches from `prepared` (built on the
+    /// first run that needs them). The [`Metrics`] equal those of
+    /// [`Processor::run`] on the same trace.
+    ///
+    /// # Errors
+    ///
+    /// As [`Processor::run`].
+    pub fn run_prepared(&self, prepared: &PreparedTrace<'_>) -> Result<Metrics, SimError> {
+        let cfg = &self.config;
+        let trace = prepared.trace();
+        let backend = self.check(trace)?;
+        let wake = prepared.wakeup_lists();
+        let prog = DecodedProgram::decode(trace, cfg);
+        // An ideal backend never consults the hierarchy, so it is not
+        // warmed either.
+        let memsys = if cfg.warm_caches && !backend.is_ideal {
+            MemorySystem::with_hierarchy(cfg, prepared.warmed_hierarchy(cfg.hierarchy))
+        } else {
+            MemorySystem::new(cfg)
+        };
+        Ok(self.simulate(&prog, wake, memsys, &backend))
+    }
+
+    /// Validates the configuration and the trace before any work is
+    /// done, returning the configured backend's registry entry.
+    fn check(&self, trace: &Trace) -> Result<BackendEntry, SimError> {
         let cfg = &self.config;
         cfg.validate()?;
-        let instrs = trace.instrs();
-        let n = instrs.len();
-
-        // Up-front validation, starting with the backend itself.
-        let backend = mom3d_mem::BackendRegistry::get(cfg.memory.as_str())
+        let backend = BackendRegistry::get(cfg.memory.as_str())
             .ok_or_else(|| SimError::UnknownBackend { id: cfg.memory.as_str().to_string() })?;
-        for (index, i) in instrs.iter().enumerate() {
+        for (index, i) in trace.instrs().iter().enumerate() {
             match i.opcode {
                 Opcode::DvLoad | Opcode::DvMov if !backend.has_3d => {
                     return Err(SimError::No3dRegisterFile { index });
@@ -214,18 +270,29 @@ impl Processor {
                 _ => {}
             }
         }
+        Ok(backend)
+    }
 
-        let wake = DepGraph::build(trace).invert();
-        let prog = DecodedProgram::decode(trace, cfg);
-        let mut memsys = MemorySystem::new(cfg);
-        if cfg.warm_caches {
-            memsys.warm_from_trace(trace);
-        }
+    /// The timing loop proper, over a validated and decoded trace, its
+    /// wakeup lists and a ready (warmed, if configured) memory system.
+    fn simulate(
+        &self,
+        prog: &DecodedProgram,
+        wake: &WakeupLists,
+        mut memsys: MemorySystem,
+        backend: &BackendEntry,
+    ) -> Metrics {
+        let cfg = &self.config;
+        let n = prog.ops.len();
         let track_banks = cfg.l1_banked && !backend.is_ideal;
         let mut metrics = Metrics::default();
 
+        // Completion cycle per instruction; `u64::MAX` until it issues.
         let mut done_at: Vec<u64> = vec![u64::MAX; n];
-        let mut issued: Vec<bool> = vec![false; n];
+        // Completion times of issued instructions, for the idle skip.
+        // Entries at or before `now` are dropped every cycle, so every
+        // entry left belongs to an issued, uncommitted instruction.
+        let mut completions: BinaryHeap<Reverse<u64>> = BinaryHeap::with_capacity(cfg.window);
 
         // Wakeup state: outstanding-operand counts, the latest
         // operand-ready time seen so far per instruction, and a heap of
@@ -237,9 +304,9 @@ impl Processor {
         let mut edge_ready: Vec<u64> = vec![0; n];
         let mut wakeups: BinaryHeap<Reverse<(u64, u32)>> = BinaryHeap::new();
         // Ready, unissued, in-window instructions in trace (age) order,
-        // plus per-budget-slot membership counts for early scan exit.
+        // plus per-scan-slot membership counts for early scan exit.
         let mut ready: Vec<u32> = Vec::with_capacity(cfg.window);
-        let mut ready_counts = [0usize; 4];
+        let mut ready_counts = [0usize; 5];
 
         let mut window: VecDeque<u32> = VecDeque::with_capacity(cfg.window);
         let mut next_fetch = 0usize;
@@ -251,6 +318,10 @@ impl Processor {
         let mut vec_port = Units::new(1);
         let mut vec_txn = Units::new(cfg.vec_outstanding.max(1));
         let mut mov3d_unit = Units::new(1);
+
+        // Scan slots with an issue budget (see `scan_slot`).
+        let open_at_cycle_start =
+            [cfg.int_issue > 0, cfg.simd_issue > 0, cfg.mem_issue > 0, cfg.mem_issue > 0, true];
 
         let mut now: u64 = 0;
         // Generous progress bound: every instruction finishes within a few
@@ -267,7 +338,7 @@ impl Processor {
             let mut committed = 0usize;
             while committed < cfg.commit_rate {
                 match window.front() {
-                    Some(&front) if issued[front as usize] && done_at[front as usize] <= now => {
+                    Some(&front) if done_at[front as usize] <= now => {
                         let op = &prog.ops[front as usize];
                         if op.is_mem {
                             lsq_used -= 1;
@@ -289,116 +360,140 @@ impl Processor {
                 wakeups.pop();
                 let pos = ready.partition_point(|&r| r < idx);
                 ready.insert(pos, idx);
-                ready_counts[budget_slot(prog.ops[idx as usize].class)] += 1;
+                ready_counts[scan_slot(prog.ops[idx as usize].class)] += 1;
             }
 
             // ---- issue (oldest first, per-class budgets) ------------------
-            // budgets: [int, simd, mem (scalar + vector), mov3d].
-            let mut budgets = [cfg.int_issue, cfg.simd_issue, cfg.mem_issue, 1usize];
+            let mut int_budget = cfg.int_issue;
+            let mut simd_budget = cfg.simd_issue;
+            let mut mem_budget = cfg.mem_issue; // scalar and vector memory
+            let mut mov3d_budget = 1usize;
             let mut banks_used: u64 = 0; // L1 bank bitmask for this cycle
             let mut issued_any = false;
-            // How many not-yet-scanned ready entries each slot still has;
-            // once every slot is out of budget or out of candidates the
-            // rest of the list cannot issue this cycle.
+            // Which slots can still issue this cycle. A slot closes when
+            // its budget is spent or when one of its entries finds every
+            // unit busy. Within a cycle budgets and units are only taken,
+            // never freed, so a closed slot stays closed, and once every
+            // slot is closed or out of unscanned entries the rest of the
+            // list cannot issue this cycle. An entry refused by busy units
+            // changes nothing, as in the legacy scan.
+            let mut open = open_at_cycle_start;
             let mut unseen = ready_counts;
 
             let mut w = 0usize;
             let mut r = 0usize;
             while r < ready.len() {
-                if budgets.iter().zip(unseen.iter()).all(|(&b, &u)| b == 0 || u == 0) {
+                if open.iter().zip(&unseen).all(|(&o, &u)| !o || u == 0) {
                     break;
                 }
                 let idx = ready[r] as usize;
                 let op = prog.ops[idx];
-                let slot = budget_slot(op.class);
+                let slot = scan_slot(op.class);
                 unseen[slot] -= 1;
-                let mut did_issue = false;
-                match op.class {
-                    ExecClass::Int => {
-                        if budgets[0] > 0 && int_units.acquire(now, 1) {
-                            budgets[0] -= 1;
-                            done_at[idx] = now + op.latency as u64;
-                            did_issue = true;
-                        }
-                    }
-                    ExecClass::Simd => {
-                        if budgets[1] > 0 && simd_units.acquire(now, op.occupancy) {
-                            budgets[1] -= 1;
-                            done_at[idx] =
-                                now + (op.occupancy - 1) as u64 + op.latency as u64;
-                            did_issue = true;
-                        }
-                    }
-                    ExecClass::Mem => 'mem: {
-                        if budgets[2] == 0 {
-                            break 'mem;
-                        }
-                        let mem = prog.mems[op.mem as usize];
-                        if track_banks {
-                            let bank = memsys.bank_of(mem.base);
-                            debug_assert!(bank < 64, "bank index validated in ProcessorConfig");
-                            if banks_used & (1u64 << bank) != 0 {
-                                break 'mem; // bank conflict: retry next cycle
+                let did_issue = open[slot]
+                    && match op.class {
+                        ExecClass::Int => {
+                            if int_units.acquire(now, 1) {
+                                int_budget -= 1;
+                                open[INT] = int_budget > 0;
+                                done_at[idx] = now + op.latency as u64;
+                                true
+                            } else {
+                                open[INT] = false;
+                                false
                             }
-                            banks_used |= 1u64 << bank;
                         }
-                        if !l1_ports.acquire(now, 1) {
-                            break 'mem;
+                        ExecClass::Simd => {
+                            if simd_units.acquire(now, op.occupancy) {
+                                simd_budget -= 1;
+                                open[SIMD] = simd_budget > 0;
+                                done_at[idx] = now + (op.occupancy - 1) as u64 + op.latency as u64;
+                                true
+                            } else {
+                                open[SIMD] = false;
+                                false
+                            }
                         }
-                        budgets[2] -= 1;
-                        let latency = memsys.scalar_access(&mem, op.is_store);
-                        metrics.scalar_mem_instrs += 1;
-                        // Stores retire into the store buffer and drain in
-                        // the background; only loads expose access latency.
-                        done_at[idx] =
-                            if op.is_store { now + 1 } else { now + latency as u64 };
-                        did_issue = true;
-                    }
-                    ExecClass::VecMem => 'vec: {
-                        if budgets[2] == 0 {
-                            break 'vec;
-                        }
-                        // Probe both the port and a transaction buffer
-                        // before paying for the access (the access mutates
-                        // cache state, so it must not be speculated).
-                        if !vec_port.peek(now) || !vec_txn.peek(now) {
-                            break 'vec;
-                        }
-                        let mem = prog.mems[op.mem as usize];
-                        let timing = memsys.vector_access(&mem, op.is_store, op.is_3d);
-                        let ok = vec_port.acquire(now, timing.occupancy);
-                        debug_assert!(ok, "vector port probed free");
-                        // The transaction buffer is held until the data
-                        // returns, bounding latency overlap.
-                        let ok = vec_txn.acquire(now, timing.occupancy + timing.latency);
-                        debug_assert!(ok, "transaction buffer probed free");
-                        budgets[2] -= 1;
-                        metrics.vec_mem_instrs += 1;
-                        // Vector stores hold the port for their occupancy
-                        // but complete without waiting on the L2 write.
-                        done_at[idx] = if op.is_store {
-                            now + timing.occupancy as u64
-                        } else {
-                            now + timing.occupancy as u64 + timing.latency as u64
-                        };
-                        did_issue = true;
-                    }
-                    ExecClass::Mov3d => {
-                        if budgets[3] > 0 && mov3d_unit.acquire(now, op.occupancy) {
-                            budgets[3] -= 1;
-                            metrics.mov3d_instrs += 1;
-                            metrics.mov3d_words += op.vl as u64;
+                        ExecClass::Mem => 'mem: {
+                            let mem = prog.mems[op.mem as usize];
+                            if track_banks {
+                                let bank = memsys.bank_of(mem.base);
+                                debug_assert!(bank < 64, "bank index validated in ProcessorConfig");
+                                if banks_used & (1u64 << bank) != 0 {
+                                    break 'mem false; // bank conflict: retry next cycle
+                                }
+                                banks_used |= 1u64 << bank;
+                            }
+                            if !l1_ports.acquire(now, 1) {
+                                open[MEM] = false;
+                                break 'mem false;
+                            }
+                            mem_budget -= 1;
+                            open[MEM] = mem_budget > 0;
+                            open[VEC_MEM] &= mem_budget > 0;
+                            let latency = memsys.scalar_access(&mem, op.is_store);
+                            metrics.scalar_mem_instrs += 1;
+                            // Stores retire into the store buffer and drain
+                            // in the background; only loads expose access
+                            // latency.
                             done_at[idx] =
-                                now + (op.occupancy - 1) as u64 + op.latency as u64;
-                            did_issue = true;
+                                if op.is_store { now + 1 } else { now + latency as u64 };
+                            true
                         }
-                    }
-                }
+                        ExecClass::VecMem => 'vec: {
+                            // Probe both the port and a transaction buffer
+                            // before paying for the access (the access
+                            // mutates cache state, so it must not be
+                            // speculated).
+                            if !vec_port.peek(now) || !vec_txn.peek(now) {
+                                open[VEC_MEM] = false;
+                                break 'vec false;
+                            }
+                            let mem = prog.mems[op.mem as usize];
+                            let timing = memsys.vector_access(&mem, op.is_store, op.is_3d);
+                            let ok = vec_port.acquire(now, timing.occupancy);
+                            debug_assert!(ok, "vector port probed free");
+                            // The transaction buffer is held until the data
+                            // returns, bounding latency overlap.
+                            let ok = vec_txn.acquire(now, timing.occupancy + timing.latency);
+                            debug_assert!(ok, "transaction buffer probed free");
+                            mem_budget -= 1;
+                            open[VEC_MEM] = mem_budget > 0;
+                            open[MEM] &= mem_budget > 0;
+                            metrics.vec_mem_instrs += 1;
+                            // Vector stores hold the port for their occupancy
+                            // but complete without waiting on the L2 write.
+                            done_at[idx] = if op.is_store {
+                                now + timing.occupancy as u64
+                            } else {
+                                now + timing.occupancy as u64 + timing.latency as u64
+                            };
+                            true
+                        }
+                        ExecClass::Mov3d => {
+                            if mov3d_unit.acquire(now, op.occupancy) {
+                                mov3d_budget -= 1;
+                                open[MOV3D] = mov3d_budget > 0;
+                                metrics.mov3d_instrs += 1;
+                                metrics.mov3d_words += op.vl as u64;
+                                done_at[idx] = now + (op.occupancy - 1) as u64 + op.latency as u64;
+                                true
+                            } else {
+                                open[MOV3D] = false;
+                                false
+                            }
+                        }
+                    };
                 if did_issue {
-                    issued[idx] = true;
                     issued_any = true;
                     ready_counts[slot] -= 1;
                     let completes = done_at[idx];
+                    // This issue makes the cycle active, so the next cycle
+                    // evaluated is `now + 1`: a completion by then is never
+                    // a future event for the idle skip.
+                    if completes > now + 1 {
+                        completions.push(Reverse(completes));
+                    }
                     for e in wake.consumers(idx) {
                         let c = e.consumer as usize;
                         let t = if e.ptr_only { now + 1 } else { completes };
@@ -420,7 +515,7 @@ impl Processor {
                                     + 1
                                     + ready[r + 1..].partition_point(|&x| x < e.consumer);
                                 ready.insert(pos, e.consumer);
-                                let slot_c = budget_slot(prog.ops[c].class);
+                                let slot_c = scan_slot(prog.ops[c].class);
                                 ready_counts[slot_c] += 1;
                                 unseen[slot_c] += 1;
                             } else {
@@ -461,7 +556,7 @@ impl Processor {
                     // considered next cycle, exactly as via the heap.
                     if edge_ready[next_fetch] <= now + 1 {
                         ready.push(next_fetch as u32);
-                        ready_counts[budget_slot(prog.ops[next_fetch].class)] += 1;
+                        ready_counts[scan_slot(prog.ops[next_fetch].class)] += 1;
                     } else {
                         wakeups.push(Reverse((edge_ready[next_fetch], next_fetch as u32)));
                     }
@@ -471,6 +566,11 @@ impl Processor {
             }
 
             // ---- advance --------------------------------------------------
+            // An instruction that completed by `now` has committed or is
+            // waiting to, so its completion is never a future event.
+            while completions.peek().is_some_and(|&Reverse(t)| t <= now) {
+                completions.pop();
+            }
             if committed > 0 || issued_any || fetched > 0 {
                 // Budgets reset, pointer operands mature and bank masks
                 // clear on the very next cycle, so it must be evaluated.
@@ -479,13 +579,7 @@ impl Processor {
                 // Nothing happened: no budget, bank mask or rename state
                 // changed, so re-evaluating intermediate cycles is a no-op.
                 // Jump to the next completion or unit release.
-                let mut next_event = u64::MAX;
-                for &wi in &window {
-                    let i = wi as usize;
-                    if issued[i] && done_at[i] > now && done_at[i] < next_event {
-                        next_event = done_at[i];
-                    }
-                }
+                let mut next_event = completions.peek().map_or(u64::MAX, |&Reverse(t)| t);
                 for units in
                     [&int_units, &simd_units, &l1_ports, &vec_port, &vec_txn, &mov3d_unit]
                 {
@@ -516,7 +610,7 @@ impl Processor {
         metrics.l2_misses = h.l2_misses;
         metrics.l1_accesses = h.l1_accesses;
         metrics.coherence_invalidations = h.coherence_invalidations;
-        Ok(metrics)
+        metrics
     }
 
     /// The original scan-everything-every-cycle timing loop, kept
@@ -1106,6 +1200,84 @@ mod tests {
     }
 
     #[test]
+    fn scalar_loads_issue_past_a_blocked_vector_load() {
+        // Four strided vector loads hold the single vector port for 16
+        // cycles each, so vector memory is closed for most of the first
+        // 64 cycles. The scalar loads queued behind the blocked `vload`s
+        // draw on the same memory issue budget but not on the port: they
+        // must issue in those cycles, two per cycle, exactly as in the
+        // legacy loop. A large LSQ lets all of them in at once.
+        let mut cfg = ProcessorConfig::mom()
+            .with_memory(MemorySystemKind::VectorCache)
+            .with_warm_caches(true);
+        cfg.lsq = cfg.window;
+        let build = |vloads: u64, loads: u64| {
+            let mut tb = TraceBuilder::new();
+            tb.set_vl(16);
+            tb.set_vs(136);
+            let b = tb.li(Gpr::new(1), 0x1_0000);
+            for k in 0..vloads {
+                tb.vload(MomReg::new((k % 8) as u8), b, 0x1_0000 + 8 * k);
+            }
+            for k in 0..loads {
+                tb.load_scalar(Gpr::new((2 + k % 8) as u8), b, 0x8_0000 + 8 * k, 8);
+            }
+            tb.finish()
+        };
+        let p = Processor::new(cfg);
+        let mixed = build(4, 120);
+        let m = p.run(&mixed).unwrap();
+        assert_eq!(m, p.run_legacy(&mixed).unwrap());
+        let vector_only = p.run(&build(4, 0)).unwrap().cycles;
+        let scalar_only = p.run(&build(0, 120)).unwrap().cycles;
+        assert!(
+            m.cycles < vector_only + scalar_only / 2,
+            "scalar loads must overlap the busy vector port: {} vs {vector_only} + {scalar_only}",
+            m.cycles
+        );
+    }
+
+    #[test]
+    fn simd_ops_issue_past_full_int_units() {
+        // One integer unit under a four-wide integer issue budget: the
+        // units run out before the budget does, so every cycle the second
+        // ready integer op is refused. The SIMD ops queued behind the
+        // integer ops must still issue in those cycles, overlapping them.
+        let mut cfg = ProcessorConfig::mmx().with_memory(MemorySystemKind::Ideal);
+        cfg.int_units = 1;
+        let build = |int: bool, simd: bool| {
+            let mut tb = TraceBuilder::new();
+            for i in 0..64u32 {
+                if int {
+                    tb.li(Gpr::new((i % 30) as u8), i as i64);
+                }
+            }
+            for i in 0..64u32 {
+                if simd {
+                    tb.usimd2(
+                        UsimdOp::AddWrap(Width::B8),
+                        MmxReg::new((i % 16) as u8),
+                        MmxReg::new(16 + (i % 8) as u8),
+                        MmxReg::new(24 + (i % 8) as u8),
+                    );
+                }
+            }
+            tb.finish()
+        };
+        let p = Processor::new(cfg);
+        let mixed = build(true, true);
+        let m = p.run(&mixed).unwrap();
+        assert_eq!(m, p.run_legacy(&mixed).unwrap());
+        let int_only = p.run(&build(true, false)).unwrap().cycles;
+        let simd_only = p.run(&build(false, true)).unwrap().cycles;
+        assert!(
+            m.cycles < int_only + simd_only,
+            "SIMD ops must overlap the full int units: {} vs {int_only} + {simd_only}",
+            m.cycles
+        );
+    }
+
+    #[test]
     fn units_peek_and_free_at_agree_with_acquire() {
         let mut u = Units::new(2);
         assert_eq!(u.free_at(), 0);
@@ -1236,6 +1408,59 @@ mod tests {
             tb.finish()
         }
 
+        /// Issue widths and unit counts, so that a class can run out of
+        /// units before it runs out of budget (and the other way round).
+        #[derive(Debug, Clone, Copy)]
+        struct Resources {
+            int_units: usize,
+            simd_units: usize,
+            int_issue: usize,
+            simd_issue: usize,
+            mem_issue: usize,
+            l1_ports: usize,
+            vec_outstanding: usize,
+            window: usize,
+            lsq: usize,
+        }
+
+        impl Resources {
+            fn apply(self, mut cfg: ProcessorConfig) -> ProcessorConfig {
+                cfg.int_units = self.int_units;
+                cfg.simd_units = self.simd_units;
+                cfg.int_issue = self.int_issue;
+                cfg.simd_issue = self.simd_issue;
+                cfg.mem_issue = self.mem_issue;
+                cfg.l1_ports = self.l1_ports;
+                cfg.vec_outstanding = self.vec_outstanding;
+                cfg.window = self.window;
+                cfg.lsq = self.lsq;
+                cfg
+            }
+        }
+
+        fn resources_strategy() -> impl Strategy<Value = Resources> {
+            (
+                (1usize..=4, 1usize..=4, 1usize..=4, 1usize..=4),
+                (1usize..=4, 1usize..=4, 0usize..=4),
+                (1usize..=128, 1usize..=32),
+            )
+                .prop_map(|(units, memory, (window, lsq))| {
+                    let (int_units, simd_units, int_issue, simd_issue) = units;
+                    let (mem_issue, l1_ports, vec_outstanding) = memory;
+                    Resources {
+                        int_units,
+                        simd_units,
+                        int_issue,
+                        simd_issue,
+                        mem_issue,
+                        l1_ports,
+                        vec_outstanding,
+                        window,
+                        lsq,
+                    }
+                })
+        }
+
         proptest! {
             #![proptest_config(ProptestConfig::with_cases(40))]
 
@@ -1243,13 +1468,15 @@ mod tests {
             /// shapes and every registered backend — zero-latency cache
             /// configurations included — the event-driven path
             /// reproduces the legacy oracle bit for bit, metrics and
-            /// errors alike.
+            /// errors alike. Each trace then runs once more under a
+            /// random resource shape.
             #[test]
             fn event_driven_equals_legacy(
                 steps in proptest::collection::vec(step_strategy(), 1..120),
                 mmx_shape in any::<bool>(),
                 zero_latency in any::<bool>(),
                 warm in any::<bool>(),
+                resources in resources_strategy(),
             ) {
                 let trace = build(&steps);
                 let mut base = if mmx_shape {
@@ -1269,6 +1496,10 @@ mod tests {
                     let new = p.run(&trace);
                     let old = p.run_legacy(&trace);
                     prop_assert_eq!(new, old, "backend {}", entry.id);
+                    let p = Processor::new(resources.apply(*p.config()));
+                    let new = p.run(&trace);
+                    let old = p.run_legacy(&trace);
+                    prop_assert_eq!(new, old, "backend {} under {:?}", entry.id, resources);
                 }
             }
         }

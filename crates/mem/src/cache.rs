@@ -130,7 +130,7 @@ const INVALID_WAY: Way = Way { tag: 0, valid: false, dirty: false, lru: 0 };
 /// in [`crate::MainMemory`], which keeps the timing model and the
 /// functional emulator decoupled (a standard trace-driven-simulator
 /// structure).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Cache {
     config: CacheConfig,
     ways: Vec<Way>,

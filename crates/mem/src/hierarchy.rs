@@ -85,7 +85,7 @@ pub struct VectorAccessOutcome {
 }
 
 /// The L1 + L2 hierarchy.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MemHierarchy {
     config: HierarchyConfig,
     l1: Cache,
@@ -102,6 +102,22 @@ impl MemHierarchy {
     /// The configuration.
     pub fn config(&self) -> &HierarchyConfig {
         &self.config
+    }
+
+    /// Replaces the latencies with those of `config`, keeping the cache
+    /// contents. Contents depend only on the access sequence and the
+    /// geometry, so a hierarchy warmed once can be cloned and re-timed
+    /// for every latency a sweep visits.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `config` has a different L1 or L2 geometry.
+    pub fn retime(&mut self, config: HierarchyConfig) {
+        assert!(
+            config.l1 == self.config.l1 && config.l2 == self.config.l2,
+            "re-timing cannot change the cache geometry"
+        );
+        self.config = config;
     }
 
     /// Accumulated counters.
@@ -282,6 +298,24 @@ mod tests {
         h.vector_line_access(0x0, false);
         let r = h.vector_line_access(0x0, false);
         assert_eq!(r.latency, 60);
+    }
+
+    #[test]
+    fn retime_keeps_contents_and_changes_latency() {
+        let mut h = hierarchy();
+        h.vector_line_access(0x0, false);
+        h.retime(HierarchyConfig::default().with_l2_latency(60));
+        let r = h.vector_line_access(0x0, false);
+        assert!(r.hit, "the line stays resident");
+        assert_eq!(r.latency, 60);
+    }
+
+    #[test]
+    #[should_panic(expected = "geometry")]
+    fn retime_refuses_a_different_geometry() {
+        let mut config = HierarchyConfig::default();
+        config.l1 = config.l2;
+        hierarchy().retime(config);
     }
 
     #[test]

@@ -18,8 +18,10 @@ use mom3d_bench::protocol::Endpoint;
 use mom3d_bench::shard::{coordinate, run_worker, ShardConfig, WorkerConfig, WorkerSummary};
 use mom3d_bench::sweep::SweepReport;
 use mom3d_bench::{Runner, SimKey};
-use std::path::PathBuf;
-use std::time::Duration;
+use std::io;
+use std::path::{Path, PathBuf};
+use std::thread::JoinHandle;
+use std::time::{Duration, Instant};
 
 const SEED: u64 = 11;
 
@@ -60,6 +62,26 @@ fn tmp(name: &str, ext: &str) -> PathBuf {
     ))
 }
 
+/// Starts the coordinator in a thread and returns once its socket
+/// exists (or it has already exited). Workers started after this dial a
+/// live listener at once. A worker whose first dial came too early would
+/// wait 50 ms to redial; in that pause the other workers can drain the
+/// whole grid and the coordinator close, and the late worker then finds
+/// nobody to dial and fails.
+fn spawn_coordinator(
+    sock: &Path,
+    cells: Vec<SimKey>,
+    config: ShardConfig,
+) -> JoinHandle<io::Result<SweepReport>> {
+    let endpoint = Endpoint::Unix(sock.to_path_buf());
+    let coordinator = std::thread::spawn(move || coordinate(endpoint, &cells, &config));
+    let t0 = Instant::now();
+    while !sock.exists() && !coordinator.is_finished() && t0.elapsed() < Duration::from_secs(10) {
+        std::thread::sleep(Duration::from_micros(100));
+    }
+    coordinator
+}
+
 /// Runs one sharded sweep: the coordinator in one thread (spawning no
 /// worker processes), one [`run_worker`] thread per entry of
 /// `worker_aborts` (`Some(n)` = crash after `n` cells in total).
@@ -70,13 +92,8 @@ fn run_sharded(
     config: ShardConfig,
 ) -> (SweepReport, Vec<WorkerSummary>) {
     let sock = tmp(name, "sock");
+    let coordinator = spawn_coordinator(&sock, grid(), config);
     let endpoint = Endpoint::Unix(sock);
-    let cells = grid();
-
-    let coordinator = {
-        let endpoint = endpoint.clone();
-        std::thread::spawn(move || coordinate(endpoint, &cells, &config))
-    };
     let workers: Vec<_> = worker_aborts
         .iter()
         .enumerate()
@@ -201,21 +218,28 @@ fn a_stalled_worker_cannot_wedge_the_sweep() {
     let cells = grid();
     let serial = serial_metrics(&cells);
     let sock = tmp("stall", "sock");
-    let endpoint = Endpoint::Unix(sock);
+    // The journal tells the test when the staller has finished its one
+    // cell. A manifest holding only its header has this many bytes.
+    let journal = tmp("stall", "mwm");
+    let header_len = {
+        let probe = tmp("stall-header", "mwm");
+        drop(Manifest::create(&probe, SEED, true, &cells).unwrap());
+        let len = std::fs::metadata(&probe).unwrap().len();
+        let _ = std::fs::remove_file(&probe);
+        len
+    };
     let config = ShardConfig {
         seed: SEED,
         small: true,
         workers: 0,
         batch: 2,
         lease: Duration::from_millis(300),
+        manifest: Some(journal.clone()),
         ..ShardConfig::default()
     };
 
-    let coordinator = {
-        let endpoint = endpoint.clone();
-        let cells = cells.clone();
-        std::thread::spawn(move || coordinate(endpoint, &cells, &config))
-    };
+    let coordinator = spawn_coordinator(&sock, cells.clone(), config);
+    let endpoint = Endpoint::Unix(sock);
     let staller = {
         let endpoint = endpoint.clone();
         std::thread::spawn(move || {
@@ -229,6 +253,16 @@ fn a_stalled_worker_cannot_wedge_the_sweep() {
             run_worker(&endpoint, &config)
         })
     };
+    // The survivor starts once the staller's cell is journaled. Started
+    // together, the survivor could drain the grid and close the
+    // coordinator before a late-scheduled staller ever dialed.
+    let t0 = Instant::now();
+    while std::fs::metadata(&journal).map_or(true, |m| m.len() <= header_len)
+        && !staller.is_finished()
+        && t0.elapsed() < Duration::from_secs(10)
+    {
+        std::thread::sleep(Duration::from_micros(100));
+    }
     let survivor = {
         let endpoint = endpoint.clone();
         std::thread::spawn(move || {
@@ -249,6 +283,7 @@ fn a_stalled_worker_cannot_wedge_the_sweep() {
     let sharding = report.sharding.as_ref().expect("sharded runs fill the block");
     let attributed: u64 = sharding.workers.iter().map(|w| w.cells).sum();
     assert_eq!(attributed, cells.len() as u64, "attribution still partitions the grid");
+    let _ = std::fs::remove_file(&journal);
 }
 
 #[test]
