@@ -48,7 +48,8 @@ pub struct MemorySystem {
     /// Scratch block list, reused across accesses so the per-instruction
     /// path does not allocate in steady state.
     blocks_buf: Vec<(u64, u32)>,
-    /// Scratch line deduplicator, reused for the same reason.
+    /// Scratch line deduplicator, reused for the same reason (its hash
+    /// index is only filled for accesses of more than 32 lines).
     line_set: LineSet,
 }
 
@@ -131,6 +132,12 @@ impl MemorySystem {
     /// Performs a vector memory access (2D load/store or `3dvload`);
     /// returns its port occupancy and completion latency, and updates
     /// the bandwidth/activity counters.
+    ///
+    /// The cost is per distinct L2 line: the reused [`LineSet`] dedupes
+    /// the lines by a short linear scan, and each line is one
+    /// [`MemHierarchy::vector_line_access`] (at the paper geometry four
+    /// L1 coherence probes and one L2 access, each a shift-and-mask tag
+    /// lookup). Nothing on the path hashes or allocates in steady state.
     pub fn vector_access(&mut self, mem: &MemAccess, is_store: bool, is_3d: bool) -> MemOpTiming {
         if self.ideal {
             self.vec_words += mem.total_bytes().div_ceil(8);

@@ -1117,6 +1117,29 @@ mod tests {
     }
 
     #[test]
+    fn multi_banked_beyond_sixty_four_banks_runs() {
+        // 128 banks need a two-word bank mask in the scheduler. A
+        // 64-byte stride lands every element on bank 0 of 8 banks but
+        // spreads over 16 of 128, so the wide array must be faster.
+        let mut tb = TraceBuilder::new();
+        tb.set_vl(16);
+        tb.set_vs(64);
+        let b = tb.li(Gpr::new(1), 0x1_0000);
+        for k in 0..32u64 {
+            tb.vload(MomReg::new((k % 8) as u8), b, 0x1_0000 + 8 * (k % 4));
+        }
+        let trace = tb.finish();
+        let run = |id: &str| {
+            let id = BackendRegistry::parse(id).unwrap();
+            Processor::new(ProcessorConfig::mom().with_memory(id)).run(&trace).unwrap()
+        };
+        let narrow = run("multi-banked");
+        let wide = run("multi-banked?banks=128");
+        assert_eq!(wide.instructions, narrow.instructions);
+        assert!(wide.cycles < narrow.cycles, "{} vs {}", wide.cycles, narrow.cycles);
+    }
+
+    #[test]
     fn lsq_bounds_inflight_memory() {
         // 64 loads with a long-latency first load: the LSQ (32) bounds how
         // many can be in flight, but everything still completes.

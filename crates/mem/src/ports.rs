@@ -13,10 +13,13 @@
 //! The schedulers are pure functions so they can be property-tested and
 //! reused by both the timing simulator and the analytical harness. They
 //! sit on the innermost loop of every timing simulation (one call per
-//! vector memory instruction), so [`schedule_vector_cache`] streams its
-//! word references directly from the `(address, length)` blocks without
-//! materializing them, and line deduplication ([`LineSet`],
-//! [`distinct_lines`]) is linear in the number of touched lines.
+//! vector memory instruction), so the simulator's path through them
+//! does not allocate in steady state: [`schedule_vector_cache`] streams
+//! its word references directly from the `(address, length)` blocks
+//! without materializing them, `BankScheduler` keeps the multi-banked
+//! queue and bank mask across calls, and line deduplication
+//! ([`LineSet`], [`distinct_lines`]) scans a short ordered list,
+//! hashing only past 32 lines.
 //!
 //! ```
 //! use mom3d_mem::{schedule_vector_cache, VectorCacheConfig};
@@ -132,38 +135,89 @@ impl Default for VectorCacheConfig {
 /// assert_eq!(s.port_cycles, 2);
 /// ```
 pub fn schedule_multibanked(cfg: &BankedConfig, blocks: &[(u64, u32)]) -> PortSchedule {
-    // Split into word references.
-    let mut pending: Vec<u64> = Vec::new();
-    for &(addr, len) in blocks {
-        let mut off = 0;
-        while off < len as u64 {
-            pending.push(addr + off);
-            off += cfg.interleave_bytes;
-        }
+    BankScheduler::new().schedule(cfg, blocks)
+}
+
+/// Reusable multi-banked scheduler: [`schedule_multibanked`] with its
+/// scratch buffers kept across calls, so the per-instruction path does
+/// not allocate in steady state.
+///
+/// Each word reference is reduced to its bank once; a port cycle then
+/// grants from the remaining banks in order and compacts the ungranted
+/// ones forward, so no reference is visited after its grant. The banks
+/// in use during a cycle are a reused bit mask of `banks.div_ceil(64)`
+/// words, one word for every geometry up to 64 banks.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct BankScheduler {
+    /// Bank of every not-yet-granted word reference, in queue order.
+    pending: Vec<u32>,
+    /// Banks in use this cycle, one bit each.
+    used: Vec<u64>,
+}
+
+impl BankScheduler {
+    /// A scheduler with empty scratch buffers.
+    pub(crate) fn new() -> Self {
+        BankScheduler::default()
     }
-    let words = pending.len() as u64;
-    let mut schedule = PortSchedule { port_cycles: 0, cache_accesses: words, words };
-    let mut done = vec![false; pending.len()];
+
+    /// Schedules one vector instruction's element references exactly as
+    /// [`schedule_multibanked`] does.
+    pub(crate) fn schedule(&mut self, cfg: &BankedConfig, blocks: &[(u64, u32)]) -> PortSchedule {
+        // Split into word references. Consecutive words of a block sit
+        // in consecutive banks, so only a block's first bank divides.
+        self.pending.clear();
+        for &(addr, len) in blocks {
+            let mut bank = cfg.bank_of(addr) as u32;
+            let mut off = 0;
+            while off < len as u64 {
+                self.pending.push(bank);
+                bank += 1;
+                if bank as usize == cfg.banks {
+                    bank = 0;
+                }
+                off += cfg.interleave_bytes;
+            }
+        }
+        let words = self.pending.len() as u64;
+        self.used.resize(cfg.banks.div_ceil(64), 0);
+        let port_cycles = grant_cycles(&mut self.pending, cfg.ports, &mut self.used);
+        PortSchedule { port_cycles, cache_accesses: words, words }
+    }
+}
+
+/// Port cycles needed to grant every reference in `pending` (bank
+/// indices in queue order), `ports` per cycle with no two on one bank;
+/// `used` holds one bit per bank. Each cycle scans the queue in order,
+/// grants what it can and keeps the rest, in order, at the front;
+/// `pending` is consumed.
+fn grant_cycles(pending: &mut [u32], ports: usize, used: &mut [u64]) -> u32 {
     let mut remaining = pending.len();
+    let mut cycles = 0;
     while remaining > 0 {
-        schedule.port_cycles += 1;
-        let mut used_banks = vec![false; cfg.banks];
+        cycles += 1;
+        used.fill(0);
         let mut granted = 0;
-        for (i, &addr) in pending.iter().enumerate() {
-            if done[i] || granted == cfg.ports {
-                continue;
-            }
-            let bank = cfg.bank_of(addr);
-            if !used_banks[bank] {
-                used_banks[bank] = true;
-                done[i] = true;
+        let mut kept = 0;
+        let mut i = 0;
+        while i < remaining && granted < ports {
+            let bank = pending[i];
+            let word = &mut used[bank as usize / 64];
+            let bit = 1u64 << (bank % 64);
+            if *word & bit == 0 {
+                *word |= bit;
                 granted += 1;
-                remaining -= 1;
+            } else {
+                pending[kept] = bank;
+                kept += 1;
             }
+            i += 1;
         }
         debug_assert!(granted > 0, "scheduler must make progress");
+        pending.copy_within(i..remaining, kept);
+        remaining = kept + (remaining - i);
     }
-    schedule
+    cycles
 }
 
 /// Word references of a block list in order: every 64-bit word of every
@@ -244,14 +298,24 @@ pub fn schedule_3d(blocks: &[(u64, u32)]) -> PortSchedule {
     schedule
 }
 
+/// Line count up to which [`LineSet`] deduplicates by scanning its
+/// ordered `Vec`; above it a hash index takes over. No access in the
+/// `perfbench` workloads touches more than 16 L2 lines, so the scan
+/// handles all of them; the hash index is there so that a longer
+/// access stays linear rather than quadratic in its line count.
+const LINEAR_SCAN_LINES: usize = 32;
+
 /// Reusable first-touch-order line deduplicator.
 ///
 /// The timing simulator needs the distinct L2 lines of every vector
-/// memory instruction (tag lookups, hit/miss accounting, warm-up).
-/// Collecting them with a `Vec::contains` scan is quadratic in the line
-/// count; this set pairs the ordered `Vec` with a [`HashSet`] membership
-/// index so each line is O(1), and both buffers are reused across calls
-/// so the steady-state scheduling path stops allocating.
+/// memory instruction (tag lookups, hit/miss accounting, warm-up). A
+/// typical instruction touches about six lines, so while at most 32
+/// are collected a line is checked against the ordered `Vec` by a
+/// linear scan, which costs less than hashing it.
+/// Past that count every collected line goes into a [`HashSet`] and
+/// each further line is O(1), so a long access stays linear. Both
+/// buffers are reused across calls, so the steady-state scheduling path
+/// does not allocate.
 ///
 /// ```
 /// use mom3d_mem::LineSet;
@@ -267,6 +331,8 @@ pub fn schedule_3d(blocks: &[(u64, u32)]) -> PortSchedule {
 #[derive(Debug, Clone, Default)]
 pub struct LineSet {
     lines: Vec<u64>,
+    /// Every line of `lines` once it holds more than
+    /// [`LINEAR_SCAN_LINES`]; empty until then.
     seen: HashSet<u64>,
 }
 
@@ -285,16 +351,33 @@ impl LineSet {
     pub fn collect(&mut self, blocks: &[(u64, u32)], line_bytes: u64) {
         debug_assert!(line_bytes.is_power_of_two());
         self.lines.clear();
-        self.seen.clear();
+        if !self.seen.is_empty() {
+            // `clear` walks the whole table, so skip it when unused.
+            self.seen.clear();
+        }
         for &(addr, len) in blocks {
             let mut line = addr & !(line_bytes - 1);
             let end = addr + len as u64;
             while line < end {
-                if self.seen.insert(line) {
-                    self.lines.push(line);
-                }
+                self.insert(line);
                 line += line_bytes;
             }
+        }
+    }
+
+    #[inline]
+    fn insert(&mut self, line: u64) {
+        if self.lines.len() <= LINEAR_SCAN_LINES {
+            if !self.lines.contains(&line) {
+                self.lines.push(line);
+            }
+            return;
+        }
+        if self.seen.is_empty() {
+            self.seen.extend(&self.lines);
+        }
+        if self.seen.insert(line) {
+            self.lines.push(line);
         }
     }
 
@@ -323,12 +406,49 @@ pub fn distinct_lines(blocks: &[(u64, u32)], line_bytes: u64) -> Vec<u64> {
 }
 
 /// The pre-rewrite implementations, kept verbatim as oracles for the
-/// equivalence property tests: `schedule_vector_cache` used to
-/// materialize every word reference in a `Vec<u64>` before scanning, and
+/// equivalence property tests: `schedule_multibanked` allocated its
+/// queue, its grant flags and a per-cycle bank table and rescanned the
+/// whole queue every cycle, `schedule_vector_cache` used to materialize
+/// every word reference in a `Vec<u64>` before scanning, and
 /// `distinct_lines` deduplicated with a quadratic `Vec::contains` scan.
 #[cfg(test)]
 mod reference {
-    use super::{PortSchedule, VectorCacheConfig};
+    use super::{BankedConfig, PortSchedule, VectorCacheConfig};
+
+    pub fn schedule_multibanked(cfg: &BankedConfig, blocks: &[(u64, u32)]) -> PortSchedule {
+        // Split into word references.
+        let mut pending: Vec<u64> = Vec::new();
+        for &(addr, len) in blocks {
+            let mut off = 0;
+            while off < len as u64 {
+                pending.push(addr + off);
+                off += cfg.interleave_bytes;
+            }
+        }
+        let words = pending.len() as u64;
+        let mut schedule = PortSchedule { port_cycles: 0, cache_accesses: words, words };
+        let mut done = vec![false; pending.len()];
+        let mut remaining = pending.len();
+        while remaining > 0 {
+            schedule.port_cycles += 1;
+            let mut used_banks = vec![false; cfg.banks];
+            let mut granted = 0;
+            for (i, &addr) in pending.iter().enumerate() {
+                if done[i] || granted == cfg.ports {
+                    continue;
+                }
+                let bank = cfg.bank_of(addr);
+                if !used_banks[bank] {
+                    used_banks[bank] = true;
+                    done[i] = true;
+                    granted += 1;
+                    remaining -= 1;
+                }
+            }
+            debug_assert!(granted > 0, "scheduler must make progress");
+        }
+        schedule
+    }
 
     pub fn schedule_vector_cache(cfg: &VectorCacheConfig, blocks: &[(u64, u32)]) -> PortSchedule {
         let mut refs: Vec<u64> = Vec::new();
@@ -382,6 +502,22 @@ mod equivalence {
         proptest::collection::vec((0u64..0x2_0000, 1u32..300), 1..40)
     }
 
+    /// Random blocks, or a strided run of `count` equal blocks whose
+    /// stride may be negative: up to 160 elements of up to 256 bytes,
+    /// so collections of both fewer and more than
+    /// [`LINEAR_SCAN_LINES`] lines, with repeats, are common. The base
+    /// keeps every address positive.
+    fn arb_line_blocks() -> impl Strategy<Value = Vec<(u64, u32)>> {
+        prop_oneof![
+            arb_blocks(),
+            (0x2_0000u64..0x4_0000, -700i64..700, 1u32..=256, 1usize..160).prop_map(
+                |(base, stride, len, count)| {
+                    (0..count as i64).map(|i| ((base as i64 + stride * i) as u64, len)).collect()
+                }
+            ),
+        ]
+    }
+
     proptest! {
         /// The streaming scheduler matches the old materialize-then-scan
         /// implementation on arbitrary block lists and port widths.
@@ -397,10 +533,30 @@ mod equivalence {
             );
         }
 
-        /// The hash-indexed dedup returns exactly the old quadratic
+        /// The reused, compacting bank scheduler matches the old
+        /// allocate-and-rescan one with one- and two-word bank masks,
+        /// for any port count and interleave.
+        #[test]
+        fn multibanked_matches_reference(
+            blocks in arb_line_blocks(),
+            banks in 1usize..=128,
+            ports in 1usize..=8,
+            interleave_shift in 2u32..=5,
+        ) {
+            let cfg = BankedConfig { ports, banks, interleave_bytes: 1 << interleave_shift };
+            // Leave another geometry's scratch (and mask width) behind first.
+            let mut reused = BankScheduler::new();
+            reused.schedule(&BankedConfig { banks: 129 - banks, ..cfg }, &blocks);
+            prop_assert_eq!(
+                reused.schedule(&cfg, &blocks),
+                reference::schedule_multibanked(&cfg, &blocks)
+            );
+        }
+
+        /// The scan-then-hash dedup returns exactly the old quadratic
         /// scan's lines, in the same first-touch order.
         #[test]
-        fn distinct_lines_matches_reference(blocks in arb_blocks()) {
+        fn distinct_lines_matches_reference(blocks in arb_line_blocks()) {
             prop_assert_eq!(
                 distinct_lines(&blocks, 128),
                 reference::distinct_lines(&blocks, 128)
@@ -409,7 +565,7 @@ mod equivalence {
 
         /// A reused LineSet gives the same answer as a fresh one.
         #[test]
-        fn line_set_reuse_is_stateless(a in arb_blocks(), b in arb_blocks()) {
+        fn line_set_reuse_is_stateless(a in arb_line_blocks(), b in arb_line_blocks()) {
             let mut reused = LineSet::new();
             reused.collect(&a, 128);
             reused.collect(&b, 128);
