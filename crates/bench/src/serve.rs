@@ -264,17 +264,23 @@ impl CellService {
 
     /// Claims every fresh cell of `grid` onto the queue, after
     /// publishing the `resumed` ones. Returns how many were queued.
+    ///
+    /// The cells are queued trace by trace, in first-occurrence order
+    /// as [`sweep::run`] orders its jobs, so the cells of a grant that
+    /// share a trace are adjacent and a worker prepares that trace once.
     pub(crate) fn preload(&mut self, grid: &[SimKey], resumed: &[(SimKey, Metrics)]) -> usize {
         for &(key, metrics) in resumed {
             self.memo.schedule(key);
             self.memo.publish(key, metrics);
         }
+        let mut fresh: Vec<SimKey> = grid
+            .iter()
+            .copied()
+            .filter(|&key| matches!(self.memo.schedule(key), Schedule::Claimed))
+            .collect();
+        sweep::sort_by_trace(&mut fresh);
         let q = self.queue.get_mut().expect("work queue poisoned");
-        for &key in grid {
-            if matches!(self.memo.schedule(key), Schedule::Claimed) {
-                q.pending.push_back(key);
-            }
-        }
+        q.pending.extend(fresh);
         q.pending.len()
     }
 

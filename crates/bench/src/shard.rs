@@ -45,12 +45,13 @@
 use crate::faults::{Backoff, ChaosConfig};
 use crate::manifest::{self, Manifest};
 use crate::protocol::{Client, Endpoint, Hello, Request, Response, MAX_SWEEP_CELLS};
-use crate::runner::{Runner, SimKey, WorkloadTiming};
+use crate::runner::{simulate_prepared, Runner, SimKey, WorkloadTiming};
 use crate::serve::{CellService, ServerHandle, DEFAULT_LEASE};
 use crate::server::{self, Core};
 use crate::stats;
 use crate::sweep::{self, CellResult, Sharding, SweepReport, WorkerStats};
 use crate::WorkloadCache;
+use mom3d_cpu::PreparedTrace;
 use mom3d_kernels::{IsaVariant, WorkloadKind};
 use std::collections::HashSet;
 use std::io;
@@ -469,7 +470,10 @@ fn unexpected(context: &str, resp: &Response) -> io::Error {
 /// for the whole session, so workloads and metrics stay memoized across
 /// grants. Workload builds go through [`sweep::prebuild_workloads`] and
 /// the image cache in `config.cache_dir`, the same cold path as every
-/// other harness entry point.
+/// other harness entry point. The service queues the grid trace by
+/// trace, so a grant's cells of one trace are adjacent; each such run
+/// simulates on one shared [`PreparedTrace`], as [`sweep::run`] does,
+/// and still streams a `CELL_DONE` per cell.
 ///
 /// **Fault discipline**: any mid-session transport or framing failure
 /// (reset, bit-flipped frame, expired deadline, any typed error)
@@ -533,30 +537,40 @@ pub fn run_worker(endpoint: &Endpoint, config: &WorkerConfig) -> io::Result<Work
                     cells.iter().map(|c| (c.kind, c.variant)).collect();
                 sweep::prebuild_workloads(runner, &pairs, threads);
                 let mut completed: u32 = 0;
-                for key in &cells {
-                    let t0 = Instant::now();
-                    let metrics =
-                        runner.metrics(key.kind, key.variant, key.memory, key.l2_latency);
-                    let wall_ns = u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX);
-                    if let Err(e) = client.send(&Request::CellDone { key: *key, wall_ns, metrics })
-                    {
-                        break 'session e;
-                    }
-                    completed += 1;
-                    summary.cells += 1;
-                    if config.abort_after.is_some_and(|n| summary.cells >= n as u64) {
-                        // Vanish mid-shard like a crashed process: no
-                        // FIN, just a dropped connection. The
-                        // service requeues the rest of the grant.
-                        return Ok(summary);
-                    }
-                    if config.stall_after.is_some_and(|n| summary.cells >= n as u64) {
-                        // Go silent with the connection *open* — the
-                        // stalled-not-dead failure mode. The
-                        // service's grant lease requeues the rest
-                        // of this grant; this worker then retires.
-                        std::thread::sleep(config.stall_for);
-                        return Ok(summary);
+                // Each run of one trace's cells shares that trace's
+                // decode, dependence graph and warmed caches.
+                for run in cells.chunk_by(|a, b| (a.kind, a.variant) == (b.kind, b.variant)) {
+                    let wl = runner.workload_arc(run[0].kind, run[0].variant);
+                    let prepared = PreparedTrace::new(wl.trace());
+                    for key in run {
+                        let t0 = Instant::now();
+                        let metrics = runner.cached_metrics(key).unwrap_or_else(|| {
+                            let metrics = simulate_prepared(key, &prepared);
+                            runner.insert_metrics(*key, metrics);
+                            metrics
+                        });
+                        let wall_ns = u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX);
+                        if let Err(e) =
+                            client.send(&Request::CellDone { key: *key, wall_ns, metrics })
+                        {
+                            break 'session e;
+                        }
+                        completed += 1;
+                        summary.cells += 1;
+                        if config.abort_after.is_some_and(|n| summary.cells >= n as u64) {
+                            // Vanish mid-shard like a crashed process: no
+                            // FIN, just a dropped connection. The
+                            // service requeues the rest of the grant.
+                            return Ok(summary);
+                        }
+                        if config.stall_after.is_some_and(|n| summary.cells >= n as u64) {
+                            // Go silent with the connection *open* — the
+                            // stalled-not-dead failure mode. The
+                            // service's grant lease requeues the rest
+                            // of this grant; this worker then retires.
+                            std::thread::sleep(config.stall_for);
+                            return Ok(summary);
+                        }
                     }
                 }
                 match client.round_trip(&Request::ShardFin { completed }) {

@@ -519,20 +519,19 @@ pub fn run(runner: &mut Runner, cells: &[SimKey], threads: usize) -> SweepReport
     // drops, so at most about one trace per worker holds that state at
     // any time. Traces keep their first-occurrence order and cells their
     // enumeration order within a trace.
-    let mut jobs: Vec<(SimKey, Arc<Workload>)> = Vec::new();
-    let mut group_of: HashMap<(WorkloadKind, IsaVariant), usize> = HashMap::new();
+    let mut uncached: Vec<SimKey> =
+        unique.iter().copied().filter(|c| runner.cached_metrics(c).is_none()).collect();
+    sort_by_trace(&mut uncached);
+    // Each job carries its trace group's index.
+    let mut jobs: Vec<(SimKey, Arc<Workload>, usize)> = Vec::with_capacity(uncached.len());
     let mut groups: Vec<TraceGroup<'_>> = Vec::new();
-    for &c in &unique {
-        if runner.cached_metrics(&c).is_none() {
-            let g = *group_of.entry((c.kind, c.variant)).or_insert_with(|| {
-                groups.push(TraceGroup::default());
-                groups.len() - 1
-            });
-            *groups[g].left.get_mut() += 1;
-            jobs.push((c, runner.workload_arc(c.kind, c.variant)));
+    for c in uncached {
+        if jobs.last().is_none_or(|(k, ..)| (k.kind, k.variant) != (c.kind, c.variant)) {
+            groups.push(TraceGroup::default());
         }
+        *groups.last_mut().expect("a group per trace").left.get_mut() += 1;
+        jobs.push((c, runner.workload_arc(c.kind, c.variant), groups.len() - 1));
     }
-    jobs.sort_by_key(|(c, _)| group_of[&(c.kind, c.variant)]);
     let next = AtomicUsize::new(0);
     let mut fresh: Vec<(usize, Metrics, Duration)> = Vec::with_capacity(jobs.len());
     let workers = threads.clamp(1, jobs.len().max(1));
@@ -543,8 +542,8 @@ pub fn run(runner: &mut Runner, cells: &[SimKey], threads: usize) -> SweepReport
                     let mut out = Vec::new();
                     loop {
                         let i = next.fetch_add(1, Ordering::Relaxed);
-                        let Some((key, wl)) = jobs.get(i) else { break };
-                        let group = &groups[group_of[&(key.kind, key.variant)]];
+                        let Some((key, wl, g)) = jobs.get(i) else { break };
+                        let group = &groups[*g];
                         let t0 = Instant::now();
                         let metrics = simulate_prepared(key, &group.prepared(wl.trace()));
                         group.cell_done();
@@ -721,6 +720,18 @@ pub fn full_grid() -> Vec<SimKey> {
 pub fn unique_cells(cells: &[SimKey]) -> Vec<SimKey> {
     let mut seen = HashSet::with_capacity(cells.len());
     cells.iter().copied().filter(|&c| seen.insert(c)).collect()
+}
+
+/// Sorts `cells` trace by trace: traces in first-occurrence order, the
+/// cells of a trace in their given order. This is the order [`run`]
+/// simulates its jobs in, so one trace's cells run back to back.
+pub(crate) fn sort_by_trace(cells: &mut [SimKey]) {
+    let mut first: HashMap<(WorkloadKind, IsaVariant), usize> = HashMap::new();
+    for c in cells.iter() {
+        let next = first.len();
+        first.entry((c.kind, c.variant)).or_insert(next);
+    }
+    cells.sort_by_key(|c| first[&(c.kind, c.variant)]);
 }
 
 /// Cells for every registered backend *beyond* the four paper

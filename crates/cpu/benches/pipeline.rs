@@ -4,12 +4,18 @@
 //! strided vector memory (stall/idle-cycle bound) and 3D
 //! `3dvload`/`3dvmov` streams (wakeup-chain bound).
 //!
+//! `pipeline_ns_per_instr` times one-off `Processor::run` calls, which
+//! decode the trace, build its dependence graph and warm the caches
+//! every time. `pipeline_prepared_ns_per_instr` times
+//! `Processor::run_prepared` on one `PreparedTrace`, which does that
+//! once: what each cell of a sweep pays after the trace's first.
+//!
 //! Smoke mode for CI: `MOM3D_BENCH_SMOKE=1 cargo bench -p mom3d-cpu
 //! --bench pipeline` runs each benchmark once, just proving the harness
 //! and the traces stay alive.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
-use mom3d_cpu::{MemorySystemKind, Processor, ProcessorConfig};
+use mom3d_cpu::{MemorySystemKind, PreparedTrace, Processor, ProcessorConfig};
 use mom3d_isa::{DReg, Gpr, MomReg, Trace, TraceBuilder, UsimdOp, Width};
 
 /// Independent scalar ALU ops with a sprinkle of µSIMD: the issue loop
@@ -60,13 +66,24 @@ fn bench_pipeline(c: &mut Criterion) {
         ("strided_vector", strided_vector_trace(), MemorySystemKind::VectorCache),
         ("3d", trace_3d(), MemorySystemKind::VectorCache3d),
     ];
+    let processor = |mem: MemorySystemKind| {
+        Processor::new(ProcessorConfig::mom().with_memory(mem).with_warm_caches(true))
+    };
     let mut g = c.benchmark_group("pipeline_ns_per_instr");
     for (name, trace, mem) in &shapes {
-        let p = Processor::new(
-            ProcessorConfig::mom().with_memory(*mem).with_warm_caches(true),
-        );
+        let p = processor(*mem);
         g.throughput(Throughput::Elements(trace.len() as u64));
         g.bench_function(*name, |b| b.iter(|| p.run(trace).expect("runs").cycles));
+    }
+    g.finish();
+    let mut g = c.benchmark_group("pipeline_prepared_ns_per_instr");
+    for (name, trace, mem) in &shapes {
+        let p = processor(*mem);
+        let prepared = PreparedTrace::new(trace);
+        g.throughput(Throughput::Elements(trace.len() as u64));
+        g.bench_function(*name, |b| {
+            b.iter(|| p.run_prepared(&prepared).expect("runs").cycles)
+        });
     }
     g.finish();
 }

@@ -135,9 +135,11 @@ impl MemorySystem {
     ///
     /// The cost is per distinct L2 line: the reused [`LineSet`] dedupes
     /// the lines by a short linear scan, and each line is one
-    /// [`MemHierarchy::vector_line_access`] (at the paper geometry four
-    /// L1 coherence probes and one L2 access, each a shift-and-mask tag
-    /// lookup). Nothing on the path hashes or allocates in steady state.
+    /// [`MemHierarchy::vector_line_access`]: one L2 access, a
+    /// shift-and-mask tag lookup, preceded by the coherence probes of
+    /// the L1 lines it covers (four at the paper geometry) only while
+    /// the L1 holds a valid line. Nothing on the path hashes or
+    /// allocates in steady state.
     pub fn vector_access(&mut self, mem: &MemAccess, is_store: bool, is_3d: bool) -> MemOpTiming {
         if self.ideal {
             self.vec_words += mem.total_bytes().div_ceil(8);

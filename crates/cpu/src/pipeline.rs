@@ -10,12 +10,14 @@
 //!   decremented exactly once per edge when a producer issues, instead
 //!   of re-polling every operand of every waiting instruction every
 //!   cycle. Fully woken instructions sit in a time-ordered heap and
-//!   drop into the in-order ready list when their operands mature.
-//! * **Per-class early exit**: the issue scan keeps one slot per
-//!   execution class, vector memory apart from scalar memory. A slot
+//!   drop into their class's ready list when their operands mature.
+//! * **Per-class ready lists**: the issue loop keeps one age-ordered
+//!   ready list per scan slot (one per execution class, vector memory
+//!   apart from scalar memory) and merges their heads oldest-first, so
+//!   the cycle sees the same order as one list in trace order. A slot
 //!   closes when its budget is spent or when one of its entries finds
 //!   every unit busy; within a cycle neither is ever freed, so a closed
-//!   slot's entries are stepped over unevaluated and the scan ends once
+//!   slot's list is never visited again, and the cycle's issue ends once
 //!   every slot is closed or out of unscanned entries.
 //! * **Idle-cycle skipping**: a cycle with no commit, no issue and no
 //!   fetch changes no architectural or resource state, so `now` jumps
@@ -24,13 +26,18 @@
 //!   ([`Units::free_at`]) rather than stepping by 1.
 //! * **Pre-decoded traces** ([`DecodedProgram`]): opcode class, base
 //!   latency, FU occupancy, memory-descriptor index and packed-op count
-//!   are decoded once per run into a dense SoA-style array, so the
+//!   are decoded once per trace into a dense SoA-style array, so the
 //!   issue loop touches one small `Copy` record per instruction instead
-//!   of chasing `Instruction` fields.
-//! * **Per-trace state** ([`PreparedTrace`]): the wakeup lists and the
-//!   warmed caches depend only on the trace (and the cache geometry), so
-//!   [`Processor::run_prepared`] shares them between runs of one trace;
-//!   [`Processor::run`] builds its own for a one-off run.
+//!   of chasing `Instruction` fields. The only processor-dependent
+//!   occupancy, a vector SIMD op's `vl / simd_lanes`, is computed at
+//!   issue. The same pass records the first 3D opcode and the first
+//!   memory opcode without a descriptor, which validate the trace
+//!   against any backend without another walk.
+//! * **Per-trace state** ([`PreparedTrace`]): the decoded program, the
+//!   wakeup lists and the warmed caches depend only on the trace (and
+//!   the cache geometry), so [`Processor::run_prepared`] shares them
+//!   between runs of one trace; [`Processor::run`] is a one-off
+//!   `run_prepared` on fresh state.
 //!
 //! The produced [`Metrics`] are **bit-identical** to the original loop:
 //! active cycles run the same commit/issue/fetch logic in the same
@@ -43,7 +50,9 @@
 //! `tests/backend_equivalence.rs`).
 
 use crate::config::ProcessorConfig;
-use crate::depgraph::{DepGraph, WakeupLists};
+#[cfg(test)]
+use crate::depgraph::DepGraph;
+use crate::depgraph::WakeupLists;
 use crate::error::SimError;
 use crate::memsys::MemorySystem;
 use crate::metrics::Metrics;
@@ -105,10 +114,15 @@ struct DecodedOp {
     is_store: bool,
     /// True for `3dvload` (routes to the 3D side of the backend).
     is_3d: bool,
+    /// True for vector SIMD instructions, which hold their unit for
+    /// `vl / simd_lanes` cycles, rounded up. The lane count is the one
+    /// processor parameter the decode would need, so that occupancy is
+    /// computed at issue and `occupancy` is unused.
+    per_lane: bool,
     /// Base execution latency in cycles.
     latency: u32,
-    /// Functional-unit occupancy in cycles (vector SIMD and `3dvmov`
-    /// instructions hold their unit for multiple cycles).
+    /// Functional-unit occupancy in cycles (`3dvmov` instructions hold
+    /// their unit for multiple cycles).
     occupancy: u32,
     /// Captured vector length.
     vl: u8,
@@ -118,54 +132,83 @@ struct DecodedOp {
     packed_ops: u64,
 }
 
-/// A trace pre-decoded for one run (the FU occupancies depend on the
-/// configured lane count, so the decode is per-processor).
-struct DecodedProgram {
+/// A trace pre-decoded once for every run of it ([`PreparedTrace`]
+/// holds it): the per-instruction records the issue loop reads, the
+/// memory descriptors, and the facts that validate the trace against
+/// any backend.
+#[derive(Debug)]
+pub(crate) struct DecodedProgram {
     ops: Vec<DecodedOp>,
     mems: Vec<MemAccess>,
+    /// Index of the first 3D opcode (`3dvload` or `3dvmov`).
+    first_3d: Option<usize>,
+    /// Index of the first memory opcode without a descriptor.
+    first_malformed: Option<usize>,
 }
 
 impl DecodedProgram {
-    fn decode(trace: &Trace, cfg: &ProcessorConfig) -> Self {
+    pub(crate) fn decode(trace: &Trace) -> Self {
         let mut ops = Vec::with_capacity(trace.len());
         let mut mems = Vec::new();
-        for i in trace.iter() {
+        let (mut first_3d, mut first_malformed) = (None, None);
+        for (index, i) in trace.iter().enumerate() {
             let class = i.opcode.class();
-            let occupancy = match class {
-                ExecClass::Simd if i.opcode.is_vector() => {
-                    (i.vl as usize).div_ceil(cfg.simd_lanes) as u32
-                }
-                // Four lanes move 4 x 64 bit per cycle.
-                ExecClass::Mov3d => (i.vl as usize).div_ceil(4) as u32,
-                _ => 1,
-            };
+            if matches!(i.opcode, Opcode::DvLoad | Opcode::DvMov) && first_3d.is_none() {
+                first_3d = Some(index);
+            }
             let is_mem = i.opcode.is_mem();
-            let mem = if is_mem {
-                mems.push(i.mem.expect("memory descriptors validated before decode"));
-                (mems.len() - 1) as u32
-            } else {
-                NO_MEM
+            let mem = match i.mem {
+                Some(mem) if is_mem => {
+                    mems.push(mem);
+                    (mems.len() - 1) as u32
+                }
+                None if is_mem => {
+                    // Never simulated: `check` rejects the trace first.
+                    first_malformed.get_or_insert(index);
+                    NO_MEM
+                }
+                _ => NO_MEM,
             };
             ops.push(DecodedOp {
                 class,
                 is_mem,
                 is_store: i.opcode.is_store(),
                 is_3d: i.opcode == Opcode::DvLoad,
+                per_lane: class == ExecClass::Simd && i.opcode.is_vector(),
                 latency: i.opcode.base_latency(),
-                occupancy,
+                // Four lanes move 4 x 64 bit per cycle.
+                occupancy: if class == ExecClass::Mov3d { (i.vl as u32).div_ceil(4) } else { 1 },
                 vl: i.vl,
                 mem,
                 packed_ops: i.packed_ops(),
             });
         }
-        DecodedProgram { ops, mems }
+        DecodedProgram { ops, mems, first_3d, first_malformed }
+    }
+
+    /// Validates the trace for a backend with or without the 3D
+    /// register file: the error of its first offending instruction, a
+    /// 3D opcode on a backend without the 3D register file taking
+    /// precedence over a missing descriptor at the same index.
+    fn check(&self, has_3d: bool) -> Result<(), SimError> {
+        let no_3d = self.first_3d.filter(|_| !has_3d);
+        match (no_3d, self.first_malformed) {
+            (Some(index), Some(m)) if m < index => {
+                Err(SimError::Malformed { index: m, what: "memory descriptor" })
+            }
+            (Some(index), _) => Err(SimError::No3dRegisterFile { index }),
+            (None, Some(index)) => Err(SimError::Malformed { index, what: "memory descriptor" }),
+            (None, None) => Ok(()),
+        }
     }
 }
 
-/// Scan slots of the issue loop's early exit, one per execution class.
-/// Vector memory has a slot of its own although it draws on the memory
-/// issue budget with scalar memory: a busy vector port closes vector
-/// memory for the cycle but leaves scalar loads free to issue.
+/// Scan slots of the issue loop, one per execution class, each with its
+/// own age-ordered ready list. Vector memory has a slot of its own
+/// although it draws on the memory issue budget with scalar memory: a
+/// busy vector port closes vector memory for the cycle but leaves scalar
+/// loads free to issue.
+const SLOTS: usize = 5;
 const INT: usize = 0;
 const SIMD: usize = 1;
 const MEM: usize = 2;
@@ -204,7 +247,8 @@ impl Processor {
         &self.config
     }
 
-    /// Simulates `trace` to completion.
+    /// Simulates `trace` to completion: [`Processor::run_prepared`] on a
+    /// [`PreparedTrace`] of its own.
     ///
     /// # Errors
     ///
@@ -217,31 +261,25 @@ impl Processor {
     /// register file, or [`SimError::Malformed`] for memory opcodes
     /// without descriptors.
     pub fn run(&self, trace: &Trace) -> Result<Metrics, SimError> {
-        let backend = self.check(trace)?;
-        // A one-off run has nothing to share: build and warm in place.
-        let wake = DepGraph::build(trace).invert();
-        let prog = DecodedProgram::decode(trace, &self.config);
-        let mut memsys = MemorySystem::new(&self.config);
-        if self.config.warm_caches {
-            memsys.warm_from_trace(trace);
-        }
-        Ok(self.simulate(&prog, &wake, memsys, &backend))
+        self.run_prepared(&PreparedTrace::new(trace))
     }
 
-    /// Simulates the prepared trace to completion, taking its
+    /// Simulates the prepared trace to completion, taking its decode,
     /// dependence graph and warmed caches from `prepared` (built on the
-    /// first run that needs them). The [`Metrics`] equal those of
-    /// [`Processor::run`] on the same trace.
+    /// first run that needs them). The [`Metrics`] do not depend on
+    /// which runs shared `prepared` before, or on their order.
     ///
     /// # Errors
     ///
     /// As [`Processor::run`].
     pub fn run_prepared(&self, prepared: &PreparedTrace<'_>) -> Result<Metrics, SimError> {
         let cfg = &self.config;
-        let trace = prepared.trace();
-        let backend = self.check(trace)?;
+        cfg.validate()?;
+        let backend = BackendRegistry::get(cfg.memory.as_str())
+            .ok_or_else(|| SimError::UnknownBackend { id: cfg.memory.as_str().to_string() })?;
+        let prog = prepared.program();
+        prog.check(backend.has_3d)?;
         let wake = prepared.wakeup_lists();
-        let prog = DecodedProgram::decode(trace, cfg);
         // An ideal backend never consults the hierarchy, so it is not
         // warmed either.
         let memsys = if cfg.warm_caches && !backend.is_ideal {
@@ -249,28 +287,7 @@ impl Processor {
         } else {
             MemorySystem::new(cfg)
         };
-        Ok(self.simulate(&prog, wake, memsys, &backend))
-    }
-
-    /// Validates the configuration and the trace before any work is
-    /// done, returning the configured backend's registry entry.
-    fn check(&self, trace: &Trace) -> Result<BackendEntry, SimError> {
-        let cfg = &self.config;
-        cfg.validate()?;
-        let backend = BackendRegistry::get(cfg.memory.as_str())
-            .ok_or_else(|| SimError::UnknownBackend { id: cfg.memory.as_str().to_string() })?;
-        for (index, i) in trace.instrs().iter().enumerate() {
-            match i.opcode {
-                Opcode::DvLoad | Opcode::DvMov if !backend.has_3d => {
-                    return Err(SimError::No3dRegisterFile { index });
-                }
-                op if op.is_mem() && i.mem.is_none() => {
-                    return Err(SimError::Malformed { index, what: "memory descriptor" });
-                }
-                _ => {}
-            }
-        }
-        Ok(backend)
+        Ok(self.simulate(prog, wake, memsys, &backend))
     }
 
     /// The timing loop proper, over a validated and decoded trace, its
@@ -285,6 +302,7 @@ impl Processor {
         let cfg = &self.config;
         let n = prog.ops.len();
         let track_banks = cfg.l1_banked && !backend.is_ideal;
+        let simd_lanes = cfg.simd_lanes;
         let mut metrics = Metrics::default();
 
         // Completion cycle per instruction; `u64::MAX` until it issues.
@@ -303,10 +321,9 @@ impl Processor {
         let mut pending: Vec<u32> = (0..n).map(|i| wake.dep_count(i)).collect();
         let mut edge_ready: Vec<u64> = vec![0; n];
         let mut wakeups: BinaryHeap<Reverse<(u64, u32)>> = BinaryHeap::new();
-        // Ready, unissued, in-window instructions in trace (age) order,
-        // plus per-scan-slot membership counts for early scan exit.
-        let mut ready: Vec<u32> = Vec::with_capacity(cfg.window);
-        let mut ready_counts = [0usize; 5];
+        // Ready, unissued, in-window instructions: one list per scan
+        // slot, each in trace (age) order.
+        let mut ready: [Vec<u32>; SLOTS] = Default::default();
 
         let mut window: VecDeque<u32> = VecDeque::with_capacity(cfg.window);
         let mut next_fetch = 0usize;
@@ -358,9 +375,9 @@ impl Processor {
                     break;
                 }
                 wakeups.pop();
-                let pos = ready.partition_point(|&r| r < idx);
-                ready.insert(pos, idx);
-                ready_counts[scan_slot(prog.ops[idx as usize].class)] += 1;
+                let list = &mut ready[scan_slot(prog.ops[idx as usize].class)];
+                let pos = list.partition_point(|&r| r < idx);
+                list.insert(pos, idx);
             }
 
             // ---- issue (oldest first, per-class budgets) ------------------
@@ -373,120 +390,138 @@ impl Processor {
             // Which slots can still issue this cycle. A slot closes when
             // its budget is spent or when one of its entries finds every
             // unit busy. Within a cycle budgets and units are only taken,
-            // never freed, so a closed slot stays closed, and once every
-            // slot is closed or out of unscanned entries the rest of the
-            // list cannot issue this cycle. An entry refused by busy units
-            // changes nothing, as in the legacy scan.
+            // never freed, so a closed slot stays closed and its list is
+            // not visited again. An entry refused by busy units changes
+            // nothing, as in the legacy scan.
             let mut open = open_at_cycle_start;
-            let mut unseen = ready_counts;
+            // Per slot: the next unscanned entry of its list, and how
+            // many scanned entries it keeps (compacted to the front).
+            let mut next = [0usize; SLOTS];
+            let mut kept = [0usize; SLOTS];
 
-            let mut w = 0usize;
-            let mut r = 0usize;
-            while r < ready.len() {
-                if open.iter().zip(&unseen).all(|(&o, &u)| !o || u == 0) {
+            loop {
+                // The oldest unscanned entry of any open slot: merging the
+                // heads keeps the legacy loop's oldest-first order across
+                // classes, which the shared memory budget, the memory
+                // system's state and same-cycle wakeups all depend on.
+                let mut slot = SLOTS;
+                let mut head = u32::MAX;
+                for s in 0..SLOTS {
+                    if open[s] {
+                        if let Some(&i) = ready[s].get(next[s]) {
+                            if i < head {
+                                head = i;
+                                slot = s;
+                            }
+                        }
+                    }
+                }
+                if slot == SLOTS {
                     break;
                 }
-                let idx = ready[r] as usize;
+                next[slot] += 1;
+                let idx = head as usize;
                 let op = prog.ops[idx];
-                let slot = scan_slot(op.class);
-                unseen[slot] -= 1;
-                let did_issue = open[slot]
-                    && match op.class {
-                        ExecClass::Int => {
-                            if int_units.acquire(now, 1) {
-                                int_budget -= 1;
-                                open[INT] = int_budget > 0;
-                                done_at[idx] = now + op.latency as u64;
-                                true
-                            } else {
-                                open[INT] = false;
-                                false
-                            }
-                        }
-                        ExecClass::Simd => {
-                            if simd_units.acquire(now, op.occupancy) {
-                                simd_budget -= 1;
-                                open[SIMD] = simd_budget > 0;
-                                done_at[idx] = now + (op.occupancy - 1) as u64 + op.latency as u64;
-                                true
-                            } else {
-                                open[SIMD] = false;
-                                false
-                            }
-                        }
-                        ExecClass::Mem => 'mem: {
-                            let mem = prog.mems[op.mem as usize];
-                            if track_banks {
-                                let bank = memsys.bank_of(mem.base);
-                                debug_assert!(bank < 64, "bank index validated in ProcessorConfig");
-                                if banks_used & (1u64 << bank) != 0 {
-                                    break 'mem false; // bank conflict: retry next cycle
-                                }
-                                banks_used |= 1u64 << bank;
-                            }
-                            if !l1_ports.acquire(now, 1) {
-                                open[MEM] = false;
-                                break 'mem false;
-                            }
-                            mem_budget -= 1;
-                            open[MEM] = mem_budget > 0;
-                            open[VEC_MEM] &= mem_budget > 0;
-                            let latency = memsys.scalar_access(&mem, op.is_store);
-                            metrics.scalar_mem_instrs += 1;
-                            // Stores retire into the store buffer and drain
-                            // in the background; only loads expose access
-                            // latency.
-                            done_at[idx] =
-                                if op.is_store { now + 1 } else { now + latency as u64 };
+                let did_issue = match op.class {
+                    ExecClass::Int => {
+                        if int_units.acquire(now, 1) {
+                            int_budget -= 1;
+                            open[INT] = int_budget > 0;
+                            done_at[idx] = now + op.latency as u64;
                             true
+                        } else {
+                            open[INT] = false;
+                            false
                         }
-                        ExecClass::VecMem => 'vec: {
-                            // Probe both the port and a transaction buffer
-                            // before paying for the access (the access
-                            // mutates cache state, so it must not be
-                            // speculated).
-                            if !vec_port.peek(now) || !vec_txn.peek(now) {
-                                open[VEC_MEM] = false;
-                                break 'vec false;
-                            }
-                            let mem = prog.mems[op.mem as usize];
-                            let timing = memsys.vector_access(&mem, op.is_store, op.is_3d);
-                            let ok = vec_port.acquire(now, timing.occupancy);
-                            debug_assert!(ok, "vector port probed free");
-                            // The transaction buffer is held until the data
-                            // returns, bounding latency overlap.
-                            let ok = vec_txn.acquire(now, timing.occupancy + timing.latency);
-                            debug_assert!(ok, "transaction buffer probed free");
-                            mem_budget -= 1;
-                            open[VEC_MEM] = mem_budget > 0;
-                            open[MEM] &= mem_budget > 0;
-                            metrics.vec_mem_instrs += 1;
-                            // Vector stores hold the port for their occupancy
-                            // but complete without waiting on the L2 write.
-                            done_at[idx] = if op.is_store {
-                                now + timing.occupancy as u64
-                            } else {
-                                now + timing.occupancy as u64 + timing.latency as u64
-                            };
+                    }
+                    ExecClass::Simd => {
+                        let occupancy = if op.per_lane {
+                            (op.vl as usize).div_ceil(simd_lanes) as u32
+                        } else {
+                            op.occupancy
+                        };
+                        if simd_units.acquire(now, occupancy) {
+                            simd_budget -= 1;
+                            open[SIMD] = simd_budget > 0;
+                            done_at[idx] = now + (occupancy - 1) as u64 + op.latency as u64;
                             true
+                        } else {
+                            open[SIMD] = false;
+                            false
                         }
-                        ExecClass::Mov3d => {
-                            if mov3d_unit.acquire(now, op.occupancy) {
-                                mov3d_budget -= 1;
-                                open[MOV3D] = mov3d_budget > 0;
-                                metrics.mov3d_instrs += 1;
-                                metrics.mov3d_words += op.vl as u64;
-                                done_at[idx] = now + (op.occupancy - 1) as u64 + op.latency as u64;
-                                true
-                            } else {
-                                open[MOV3D] = false;
-                                false
+                    }
+                    ExecClass::Mem => 'mem: {
+                        let mem = prog.mems[op.mem as usize];
+                        if track_banks {
+                            let bank = memsys.bank_of(mem.base);
+                            debug_assert!(bank < 64, "bank index validated in ProcessorConfig");
+                            if banks_used & (1u64 << bank) != 0 {
+                                break 'mem false; // bank conflict: retry next cycle
                             }
+                            banks_used |= 1u64 << bank;
                         }
-                    };
+                        if !l1_ports.acquire(now, 1) {
+                            open[MEM] = false;
+                            break 'mem false;
+                        }
+                        mem_budget -= 1;
+                        open[MEM] = mem_budget > 0;
+                        open[VEC_MEM] &= mem_budget > 0;
+                        let latency = memsys.scalar_access(&mem, op.is_store);
+                        metrics.scalar_mem_instrs += 1;
+                        // Stores retire into the store buffer and drain
+                        // in the background; only loads expose access
+                        // latency.
+                        done_at[idx] =
+                            if op.is_store { now + 1 } else { now + latency as u64 };
+                        true
+                    }
+                    ExecClass::VecMem => 'vec: {
+                        // Probe both the port and a transaction buffer
+                        // before paying for the access (the access
+                        // mutates cache state, so it must not be
+                        // speculated).
+                        if !vec_port.peek(now) || !vec_txn.peek(now) {
+                            open[VEC_MEM] = false;
+                            break 'vec false;
+                        }
+                        let mem = prog.mems[op.mem as usize];
+                        let timing = memsys.vector_access(&mem, op.is_store, op.is_3d);
+                        let ok = vec_port.acquire(now, timing.occupancy);
+                        debug_assert!(ok, "vector port probed free");
+                        // The transaction buffer is held until the data
+                        // returns, bounding latency overlap.
+                        let ok = vec_txn.acquire(now, timing.occupancy + timing.latency);
+                        debug_assert!(ok, "transaction buffer probed free");
+                        mem_budget -= 1;
+                        open[VEC_MEM] = mem_budget > 0;
+                        open[MEM] &= mem_budget > 0;
+                        metrics.vec_mem_instrs += 1;
+                        // Vector stores hold the port for their occupancy
+                        // but complete without waiting on the L2 write.
+                        done_at[idx] = if op.is_store {
+                            now + timing.occupancy as u64
+                        } else {
+                            now + timing.occupancy as u64 + timing.latency as u64
+                        };
+                        true
+                    }
+                    ExecClass::Mov3d => {
+                        if mov3d_unit.acquire(now, op.occupancy) {
+                            mov3d_budget -= 1;
+                            open[MOV3D] = mov3d_budget > 0;
+                            metrics.mov3d_instrs += 1;
+                            metrics.mov3d_words += op.vl as u64;
+                            done_at[idx] = now + (op.occupancy - 1) as u64 + op.latency as u64;
+                            true
+                        } else {
+                            open[MOV3D] = false;
+                            false
+                        }
+                    }
+                };
                 if did_issue {
                     issued_any = true;
-                    ready_counts[slot] -= 1;
                     let completes = done_at[idx];
                     // This issue makes the cycle active, so the next cycle
                     // evaluated is `now + 1`: a completion by then is never
@@ -505,35 +540,35 @@ impl Processor {
                             if edge_ready[c] <= now {
                                 // A zero-latency producer (e.g. an L1 hit
                                 // with `l1_latency = 0`) completed in its
-                                // own issue cycle. The age-ordered scan
+                                // own issue cycle. The age-ordered merge
                                 // reaches this younger consumer later in
                                 // the *same* cycle, so splice it into the
-                                // unscanned tail of the ready list (it is
+                                // unscanned part of its slot's list (it is
                                 // younger than every scanned entry) rather
                                 // than deferring it a cycle via the heap.
-                                let pos = r
-                                    + 1
-                                    + ready[r + 1..].partition_point(|&x| x < e.consumer);
-                                ready.insert(pos, e.consumer);
-                                let slot_c = scan_slot(prog.ops[c].class);
-                                ready_counts[slot_c] += 1;
-                                unseen[slot_c] += 1;
+                                let s = scan_slot(prog.ops[c].class);
+                                let list = &mut ready[s];
+                                let pos = next[s]
+                                    + list[next[s]..].partition_point(|&x| x < e.consumer);
+                                list.insert(pos, e.consumer);
                             } else {
                                 wakeups.push(Reverse((edge_ready[c], e.consumer)));
                             }
                         }
                     }
-                    r += 1; // drop the issued entry from the ready list
                 } else {
-                    ready[w] = ready[r];
-                    w += 1;
-                    r += 1;
+                    ready[slot][kept[slot]] = head;
+                    kept[slot] += 1;
                 }
             }
-            if w < r {
-                ready.copy_within(r.., w);
+            // Drop the issued entries: each list keeps its refused
+            // entries and its unscanned tail, in order.
+            for (list, (&next, &kept)) in ready.iter_mut().zip(next.iter().zip(&kept)) {
+                if kept < next {
+                    list.copy_within(next.., kept);
+                    list.truncate(list.len() - (next - kept));
+                }
             }
-            ready.truncate(ready.len() - (r - w));
 
             // ---- fetch (in order, bounded by window and LSQ) ---------------
             let mut fetched = 0usize;
@@ -555,8 +590,7 @@ impl Processor {
                     // instruction, so order is preserved — and is first
                     // considered next cycle, exactly as via the heap.
                     if edge_ready[next_fetch] <= now + 1 {
-                        ready.push(next_fetch as u32);
-                        ready_counts[scan_slot(prog.ops[next_fetch].class)] += 1;
+                        ready[scan_slot(op.class)].push(next_fetch as u32);
                     } else {
                         wakeups.push(Reverse((edge_ready[next_fetch], next_fetch as u32)));
                     }

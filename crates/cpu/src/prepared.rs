@@ -3,6 +3,7 @@
 
 use crate::depgraph::{DepGraph, WakeupLists};
 use crate::memsys::warm;
+use crate::pipeline::DecodedProgram;
 use mom3d_isa::Trace;
 use mom3d_mem::{HierarchyConfig, LineSet, MemHierarchy};
 use std::sync::{Mutex, OnceLock};
@@ -12,6 +13,9 @@ use std::sync::{Mutex, OnceLock};
 /// that needs it and then shared by every later one, across threads
 /// too:
 ///
+/// * the decoded program: the per-instruction records the issue loop
+///   reads, and the first 3D opcode and first memory opcode without a
+///   descriptor, which validate the trace against any backend;
 /// * the inverted dependence graph ([`WakeupLists`]), which depends
 ///   only on the trace;
 /// * one warmed cache hierarchy per L1/L2 geometry. Warming depends
@@ -24,6 +28,7 @@ use std::sync::{Mutex, OnceLock};
 #[derive(Debug)]
 pub struct PreparedTrace<'t> {
     trace: &'t Trace,
+    program: OnceLock<DecodedProgram>,
     wake: OnceLock<WakeupLists>,
     warmed: Mutex<Vec<MemHierarchy>>,
 }
@@ -31,12 +36,17 @@ pub struct PreparedTrace<'t> {
 impl<'t> PreparedTrace<'t> {
     /// Wraps `trace`; nothing is built until a run needs it.
     pub fn new(trace: &'t Trace) -> Self {
-        PreparedTrace { trace, wake: OnceLock::new(), warmed: Mutex::new(Vec::new()) }
+        PreparedTrace {
+            trace,
+            program: OnceLock::new(),
+            wake: OnceLock::new(),
+            warmed: Mutex::new(Vec::new()),
+        }
     }
 
-    /// The trace.
-    pub(crate) fn trace(&self) -> &'t Trace {
-        self.trace
+    /// The trace's decoded program and validation facts.
+    pub(crate) fn program(&self) -> &DecodedProgram {
+        self.program.get_or_init(|| DecodedProgram::decode(self.trace))
     }
 
     /// The trace's wakeup lists.
@@ -151,5 +161,62 @@ mod tests {
             assert_eq!(&prepared.warmed_hierarchy(cfg.hierarchy), fresh.hierarchy(), "L2 {l2}");
         }
         assert_eq!(prepared.warmed.lock().unwrap().len(), 1, "one geometry, one warm");
+    }
+
+    /// A trace with a 3D opcode and a memory opcode without descriptor
+    /// fails with the error of whichever comes first, a tie going to the
+    /// missing 3D register file, exactly as the legacy loop's validation
+    /// decides; the errors are cached per trace, not per backend, so one
+    /// `PreparedTrace` serves both kinds of backend.
+    #[test]
+    fn trace_errors_match_the_legacy_validation() {
+        use crate::{MemorySystemKind, SimError};
+        use mom3d_isa::{DReg, Gpr, MomReg, Opcode, TraceBuilder};
+
+        // `setvl` and `li`, then scalar loads with a 3D op at index `d3`
+        // (a `3dvmov` or a `3dvload`), and the descriptor of the
+        // instruction at index `bare` removed.
+        let build = |dvmov: bool, d3: usize, bare: usize| {
+            let mut tb = TraceBuilder::new();
+            tb.set_vl(8);
+            let b = tb.li(Gpr::new(1), 0x1000);
+            for i in 2..7 {
+                if i == d3 && dvmov {
+                    tb.dvmov(MomReg::new(0), DReg::new(0), 1);
+                } else if i == d3 {
+                    tb.dvload(DReg::new(0), b, 0x1000, 64, 4, false);
+                } else {
+                    tb.load_scalar(Gpr::new(2), b, 0x2000 + 8 * i as u64, 8);
+                }
+            }
+            let mut instrs = tb.finish().instrs().to_vec();
+            assert!(matches!(instrs[d3].opcode, Opcode::DvLoad | Opcode::DvMov), "3D op at {d3}");
+            assert!(instrs[bare].mem.take().is_some(), "index {bare} had a descriptor");
+            instrs.into_iter().collect::<Trace>()
+        };
+        let no_3d = |index| Err(SimError::No3dRegisterFile { index });
+        let malformed = |index| Err(SimError::Malformed { index, what: "memory descriptor" });
+        let cases = [
+            // 3D op first: a 2D backend rejects the 3D op, a 3D one the
+            // bare load.
+            ("3dvload first", build(false, 3, 5), no_3d(3), malformed(5)),
+            ("3dvmov first", build(true, 2, 4), no_3d(2), malformed(4)),
+            // The bare load first: both backends reject it.
+            ("bare load first", build(false, 5, 3), malformed(3), malformed(3)),
+            // The `3dvload` itself has no descriptor.
+            ("tie", build(false, 4, 4), no_3d(4), malformed(4)),
+        ];
+        for (name, trace, on_2d, on_3d) in cases {
+            let prepared = PreparedTrace::new(&trace);
+            for (kind, expected) in
+                [(MemorySystemKind::VectorCache, &on_2d), (MemorySystemKind::VectorCache3d, &on_3d)]
+            {
+                let p = Processor::new(ProcessorConfig::mom().with_memory(kind));
+                let legacy = p.run_legacy(&trace);
+                assert_eq!(&legacy, expected, "{name} on {kind:?}: legacy validation");
+                assert_eq!(p.run(&trace), legacy, "{name} on {kind:?}: run");
+                assert_eq!(p.run_prepared(&prepared), legacy, "{name} on {kind:?}: run_prepared");
+            }
+        }
     }
 }

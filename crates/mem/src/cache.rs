@@ -167,6 +167,9 @@ impl Way {
 pub struct Cache {
     config: CacheConfig,
     ways: Vec<Way>,
+    /// Number of valid ways, kept in step with `ways` by every fill and
+    /// invalidation, so [`Cache::resident_lines`] is O(1).
+    valid: usize,
     stats: CacheStats,
     tick: u64,
     /// `log2(line_bytes)`.
@@ -191,6 +194,7 @@ impl Cache {
         Cache {
             config,
             ways: vec![INVALID_WAY; sets * config.assoc],
+            valid: 0,
             stats: CacheStats::default(),
             tick: 0,
             line_shift,
@@ -271,6 +275,7 @@ impl Cache {
             // Reconstruct the victim's line address from its tag.
             (victim.tag << self.tag_shift) | (addr & (self.set_mask << self.line_shift))
         });
+        self.valid += !victim.is_valid() as usize;
         *victim = Way { tag, stamp: stamp | dirty };
         self.stats.fills += 1;
         if writeback.is_some() {
@@ -287,12 +292,13 @@ impl Cache {
         let w = self.ways[range].iter_mut().find(|w| w.holds(tag))?;
         let was_dirty = w.is_dirty();
         *w = INVALID_WAY;
+        self.valid -= 1;
         was_dirty.then(|| self.config.line_of(addr))
     }
 
-    /// Number of valid lines currently resident.
+    /// Number of valid lines currently resident, in O(1).
     pub fn resident_lines(&self) -> usize {
-        self.ways.iter().filter(|w| w.is_valid()).count()
+        self.valid
     }
 }
 

@@ -151,10 +151,15 @@ impl MemHierarchy {
     /// an L1 line boundary touches both lines.
     pub fn scalar_access(&mut self, addr: u64, bytes: u8, is_write: bool) -> u32 {
         let mut latency = self.config.l1_latency;
-        let first_line = self.config.l1.line_of(addr);
-        let last_line = self.config.l1.line_of(addr + bytes.max(1) as u64 - 1);
-        let mut line = first_line;
-        loop {
+        let line_bytes = self.config.l1.line_bytes as u64;
+        // Counted rather than compared against `addr + bytes - 1`, so an
+        // access at the top of the address space wraps instead of
+        // overflowing. The count is `(offset + bytes).div_ceil(line_bytes)`,
+        // by shift.
+        let end = (addr & (line_bytes - 1)) + bytes.max(1) as u64;
+        let lines = (end + line_bytes - 1) >> line_bytes.trailing_zeros();
+        let mut line = self.config.l1.line_of(addr);
+        for _ in 0..lines {
             self.stats.l1_accesses += 1;
             let l1_hit = self.l1.access(line, is_write).hit;
             if is_write {
@@ -163,10 +168,7 @@ impl MemHierarchy {
             } else if !l1_hit {
                 latency = latency.max(self.config.l1_latency + self.l2_line_access(line, false));
             }
-            if line == last_line {
-                break;
-            }
-            line += self.config.l1.line_bytes as u64;
+            line = line.wrapping_add(line_bytes);
         }
         latency
     }
@@ -187,19 +189,28 @@ impl MemHierarchy {
     /// (MOM loads/stores and `3dvload` blocks), applying the
     /// exclusive-bit coherence rule: any L1 copies of the line are
     /// invalidated first.
+    ///
+    /// The L1 lines overlapping the L2 line are probed only while the L1
+    /// holds any valid line at all. With none, no probe can hit, so
+    /// skipping them changes nothing; vector-heavy traces spend most of
+    /// their accesses in that state.
     pub fn vector_line_access(&mut self, addr: u64, is_write: bool) -> VectorAccessOutcome {
-        // Invalidate every L1 line overlapping this L2 line.
         let l2_line = self.config.l2.line_of(addr);
-        let mut l1_line = l2_line;
-        while l1_line < l2_line + self.config.l2.line_bytes as u64 {
-            if self.l1.probe(l1_line) {
-                // The L1 is write-through, so invalidation never loses
-                // data; a dirty return here would indicate a model bug.
-                let dirty = self.l1.invalidate(l1_line);
-                debug_assert!(dirty.is_none(), "write-through L1 line cannot be dirty");
-                self.stats.coherence_invalidations += 1;
+        if self.l1.resident_lines() > 0 {
+            // Invalidate every L1 line overlapping this L2 line. Offsets
+            // stay below the L2 line size, so the last line of the
+            // address space does not overflow.
+            let l1_bytes = self.config.l1.line_bytes as u64;
+            for k in 0..(self.config.l2.line_bytes as u64).div_ceil(l1_bytes) {
+                let l1_line = l2_line + k * l1_bytes;
+                if self.l1.probe(l1_line) {
+                    // The L1 is write-through, so invalidation never loses
+                    // data; a dirty return here would indicate a model bug.
+                    let dirty = self.l1.invalidate(l1_line);
+                    debug_assert!(dirty.is_none(), "write-through L1 line cannot be dirty");
+                    self.stats.coherence_invalidations += 1;
+                }
             }
-            l1_line += self.config.l1.line_bytes as u64;
         }
 
         self.stats.l2_vector_accesses += 1;
@@ -232,6 +243,154 @@ impl MemHierarchy {
             0.0
         } else {
             self.stats.l2_hits as f64 / total as f64
+        }
+    }
+}
+
+/// The pre-change access paths, kept as the oracle for the equivalence
+/// property test: `scalar_access` walked its lines up to
+/// `addr + bytes - 1`, and `vector_line_access` probed every L1 line of
+/// the L2 line whether or not the L1 held anything.
+#[cfg(test)]
+mod reference {
+    use super::{MemHierarchy, VectorAccessOutcome};
+
+    pub fn scalar_access(h: &mut MemHierarchy, addr: u64, bytes: u8, is_write: bool) -> u32 {
+        let mut latency = h.config.l1_latency;
+        let first_line = h.config.l1.line_of(addr);
+        let last_line = h.config.l1.line_of(addr + bytes.max(1) as u64 - 1);
+        let mut line = first_line;
+        loop {
+            h.stats.l1_accesses += 1;
+            let l1_hit = h.l1.access(line, is_write).hit;
+            if is_write {
+                // Write-through: the store is forwarded to the L2.
+                latency = latency.max(h.l2_line_access(line, true));
+            } else if !l1_hit {
+                latency = latency.max(h.config.l1_latency + h.l2_line_access(line, false));
+            }
+            if line == last_line {
+                break;
+            }
+            line += h.config.l1.line_bytes as u64;
+        }
+        latency
+    }
+
+    pub fn vector_line_access(
+        h: &mut MemHierarchy,
+        addr: u64,
+        is_write: bool,
+    ) -> VectorAccessOutcome {
+        // Invalidate every L1 line overlapping this L2 line.
+        let l2_line = h.config.l2.line_of(addr);
+        let mut l1_line = l2_line;
+        while l1_line < l2_line + h.config.l2.line_bytes as u64 {
+            if h.l1.probe(l1_line) {
+                // The L1 is write-through, so invalidation never loses
+                // data; a dirty return here would indicate a model bug.
+                let dirty = h.l1.invalidate(l1_line);
+                debug_assert!(dirty.is_none(), "write-through L1 line cannot be dirty");
+                h.stats.coherence_invalidations += 1;
+            }
+            l1_line += h.config.l1.line_bytes as u64;
+        }
+
+        h.stats.l2_vector_accesses += 1;
+        let r = h.l2.access(l2_line, is_write);
+        h.record_l2(r.hit, r.writeback.is_some());
+        let latency = if r.hit {
+            h.config.l2_latency
+        } else {
+            h.config.l2_latency + h.config.mem_latency
+        };
+        VectorAccessOutcome { hit: r.hit, latency }
+    }
+}
+
+#[cfg(test)]
+mod equivalence {
+    use super::*;
+    use crate::cache::WritePolicy;
+    use proptest::prelude::*;
+
+    /// Small hierarchies whose L1 fills and empties within a few dozen
+    /// operations: a write-through L1 of 8–32 B lines, 1–2 ways and 1–4
+    /// sets, and a write-back L2 whose lines are 1–8 L1 lines, with 1–4
+    /// ways and 1–8 sets.
+    fn arb_config() -> impl Strategy<Value = HierarchyConfig> {
+        ((3u32..=5, 1usize..=2, 0u32..=2), (0u32..=3, 1usize..=4, 0u32..=3), 0u32..=3).prop_map(
+            |((l1_shift, l1_assoc, l1_sets), (ratio, l2_assoc, l2_sets), l1_latency)| {
+                let l1_line = 1usize << l1_shift;
+                let l2_line = l1_line << ratio;
+                HierarchyConfig {
+                    l1: CacheConfig {
+                        size_bytes: (l1_line * l1_assoc) << l1_sets,
+                        assoc: l1_assoc,
+                        line_bytes: l1_line,
+                        write_policy: WritePolicy::WriteThrough,
+                    },
+                    l2: CacheConfig {
+                        size_bytes: (l2_line * l2_assoc) << l2_sets,
+                        assoc: l2_assoc,
+                        line_bytes: l2_line,
+                        write_policy: WritePolicy::WriteBack,
+                    },
+                    l1_latency,
+                    l2_latency: 20,
+                    mem_latency: 100,
+                }
+            },
+        )
+    }
+
+    /// `(op, offset, bytes)`. Ops 0–3 are scalar loads, 4–5 scalar
+    /// stores, 6–8 vector reads and 9 a vector write; scalar loads fill
+    /// the L1 and vector accesses empty it again.
+    fn arb_ops() -> impl Strategy<Value = Vec<(u8, u64, u8)>> {
+        proptest::collection::vec((0u8..10, any::<u64>(), 1u8..=16), 1..300)
+    }
+
+    proptest! {
+        /// The hierarchy that skips its coherence probes while the L1 is
+        /// empty, and counts its scalar lines, answers every access
+        /// exactly as the always-probing one, and keeps the same
+        /// statistics and cache contents throughout.
+        #[test]
+        fn hierarchy_matches_reference(
+            cfg in arb_config(),
+            base in 0u64..1 << 40,
+            ops in arb_ops(),
+        ) {
+            let mut fast = MemHierarchy::new(cfg);
+            let mut slow = MemHierarchy::new(cfg);
+            // Twice the L2's capacity: lines are evicted and come back.
+            let span = 2 * cfg.l2.size_bytes as u64;
+            for (op, offset, bytes) in ops {
+                let addr = base + offset % span;
+                match op {
+                    0..=5 => {
+                        let is_write = op >= 4;
+                        prop_assert_eq!(
+                            fast.scalar_access(addr, bytes, is_write),
+                            reference::scalar_access(&mut slow, addr, bytes, is_write),
+                            "scalar({:#x}, {}, {}) on {:?}", addr, bytes, is_write, cfg
+                        );
+                    }
+                    _ => {
+                        let is_write = op == 9;
+                        prop_assert_eq!(
+                            fast.vector_line_access(addr, is_write),
+                            reference::vector_line_access(&mut slow, addr, is_write),
+                            "vector({:#x}, {}) on {:?}", addr, is_write, cfg
+                        );
+                    }
+                }
+                prop_assert_eq!(fast.stats(), slow.stats());
+                prop_assert_eq!(fast.l1_stats(), slow.l1_stats());
+                prop_assert_eq!(fast.l2_stats(), slow.l2_stats());
+            }
+            prop_assert_eq!(&fast, &slow);
         }
     }
 }
@@ -350,5 +509,34 @@ mod tests {
             h.vector_line_access(i * set_stride, false);
         }
         assert_eq!(h.stats().mem_writebacks, 1);
+    }
+
+    #[test]
+    fn scalar_access_at_the_top_of_the_address_space_wraps() {
+        let mut h = hierarchy();
+        // The last L1 line of the address space, then one straddling
+        // into line 0.
+        assert_eq!(h.scalar_access(u64::MAX - 7, 8, false), 1 + 20 + 100);
+        assert_eq!(h.stats().l1_accesses, 1);
+        h.scalar_access(u64::MAX - 3, 8, false);
+        assert_eq!(h.stats().l1_accesses, 3);
+        assert_eq!(h.scalar_access(0, 4, false), 1, "line 0 was filled by the wrap");
+        // A vector access to the last L2 line invalidates its L1 copies.
+        h.vector_line_access(u64::MAX, false);
+        assert_eq!(h.stats().coherence_invalidations, 1);
+    }
+
+    #[test]
+    fn an_empty_l1_skips_no_invalidation() {
+        let mut h = hierarchy();
+        h.vector_line_access(0x4000, false);
+        assert_eq!(h.stats().coherence_invalidations, 0);
+        h.scalar_access(0x4020, 8, false);
+        h.vector_line_access(0x4000, false);
+        assert_eq!(h.stats().coherence_invalidations, 1);
+        // The L1 is empty again: the next access has nothing to probe.
+        h.vector_line_access(0x4000, false);
+        assert_eq!(h.stats().coherence_invalidations, 1);
+        assert_eq!(h.scalar_access(0x4020, 8, false), 1 + 20);
     }
 }

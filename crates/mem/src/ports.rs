@@ -355,12 +355,18 @@ impl LineSet {
             // `clear` walks the whole table, so skip it when unused.
             self.seen.clear();
         }
+        let mask = line_bytes - 1;
+        let shift = line_bytes.trailing_zeros();
         for &(addr, len) in blocks {
-            let mut line = addr & !(line_bytes - 1);
-            let end = addr + len as u64;
-            while line < end {
+            // Counted rather than compared against `addr + len`, so a
+            // block at the top of the address space wraps to line 0 as
+            // its addresses do (`MemAccess::block_addr` wraps too). The
+            // count is `(offset + len).div_ceil(line_bytes)`, by shift.
+            let lines = ((addr & mask) + len as u64 + mask) >> shift;
+            let mut line = addr & !mask;
+            for _ in 0..lines {
                 self.insert(line);
-                line += line_bytes;
+                line = line.wrapping_add(line_bytes);
             }
         }
     }
@@ -477,16 +483,19 @@ mod reference {
         schedule
     }
 
+    /// Walks in `u128`, so a block reaching the top of the address space
+    /// ends (the original `u64` walk wrapped to line 0 and never did);
+    /// lines past the top wrap to the bottom.
     pub fn distinct_lines(blocks: &[(u64, u32)], line_bytes: u64) -> Vec<u64> {
         let mut lines: Vec<u64> = Vec::new();
         for &(addr, len) in blocks {
-            let mut line = addr & !(line_bytes - 1);
-            let end = addr + len as u64;
+            let mut line = (addr & !(line_bytes - 1)) as u128;
+            let end = addr as u128 + len as u128;
             while line < end {
-                if !lines.contains(&line) {
-                    lines.push(line);
+                if !lines.contains(&(line as u64)) {
+                    lines.push(line as u64);
                 }
-                line += line_bytes;
+                line += line_bytes as u128;
             }
         }
         lines
@@ -506,13 +515,22 @@ mod equivalence {
     /// stride may be negative: up to 160 elements of up to 256 bytes,
     /// so collections of both fewer and more than
     /// [`LINEAR_SCAN_LINES`] lines, with repeats, are common. The base
-    /// keeps every address positive.
+    /// keeps every address positive. A third kind of run descends from
+    /// the top of the address space, its first block ending at most
+    /// 15 bytes below `u64::MAX` and often exactly at it.
     fn arb_line_blocks() -> impl Strategy<Value = Vec<(u64, u32)>> {
         prop_oneof![
             arb_blocks(),
             (0x2_0000u64..0x4_0000, -700i64..700, 1u32..=256, 1usize..160).prop_map(
                 |(base, stride, len, count)| {
                     (0..count as i64).map(|i| ((base as i64 + stride * i) as u64, len)).collect()
+                }
+            ),
+            (any::<bool>(), 0u64..16, 0u64..=700, 1u32..=256, 1usize..160).prop_map(
+                |(at_top, gap, stride, len, count)| {
+                    let gap = if at_top { 0 } else { gap };
+                    let first = u64::MAX - (len as u64 - 1) - gap;
+                    (0..count as u64).map(|i| (first - stride * i, len)).collect()
                 }
             ),
         ]
@@ -695,6 +713,15 @@ mod tests {
         // 8-byte access straddling a line boundary touches two lines.
         let lines = distinct_lines(&[(0x7C, 8)], 128);
         assert_eq!(lines, vec![0x00, 0x80]);
+    }
+
+    #[test]
+    fn distinct_lines_at_the_top_of_the_address_space() {
+        // A block ending at `u64::MAX` is the last line, not an endless
+        // walk; one running past it wraps to line 0, as its addresses do.
+        let last = u64::MAX - 127;
+        assert_eq!(distinct_lines(&[(last, 128)], 128), vec![last]);
+        assert_eq!(distinct_lines(&[(u64::MAX - 3, 8)], 128), vec![last, 0]);
     }
 
     #[test]
