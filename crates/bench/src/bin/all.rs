@@ -36,7 +36,7 @@ fn main() {
     println!("=========================================\n");
 
     // The grid covers every (workload, variant) pair table1 needs, so
-    // its internal prebuild batches all workload builds at once.
+    // the sweep's task queue builds every workload once.
     let grid = if args.all_backends { sweep::extended_grid() } else { sweep::full_grid() };
     let report = sweep::run(&mut r, &grid, args.threads());
     eprintln!(

@@ -30,9 +30,10 @@
 //! persisted as versioned binary images and later invocations load
 //! them instead of rebuilding ([`WorkloadCache`], [`Runner`]'s
 //! `load_or_build`). Corrupt or stale images always fall back to a
-//! rebuild. On a cache miss the cold path itself is pipelined: workload
-//! builds and their emulator verify runs fan out as separate work items
-//! over the sweep worker pool ([`sweep::prebuild_workloads`]).
+//! rebuild. On a cache miss the cold path itself is parallel: each
+//! worker of the sweep's per-trace task queue builds and verifies the
+//! trace it claims, then simulates on it ([`sweep::run`],
+//! [`sweep::prebuild_workloads`]).
 //!
 //! Every cell of the experiment matrix is an independent simulation, so
 //! the binaries fill the [`Runner`] cache through the parallel [`sweep`]

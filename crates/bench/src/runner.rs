@@ -143,10 +143,8 @@ impl Runner {
         (wl, WorkloadTiming { build, verify })
     }
 
-    /// The build phase alone — code generation without verification.
-    /// The sweep engine's cold-path pipeline uses this so the emulator
-    /// verify runs can fan out over the worker pool as separate work
-    /// items instead of staying fused to their build.
+    /// The build phase alone — code generation without verification
+    /// (what a caller timing build and verify apart runs first).
     ///
     /// # Panics
     ///
@@ -238,7 +236,7 @@ impl Runner {
     }
 
     /// Inserts an externally built workload together with its recorded
-    /// phase timings (how the parallel prebuild publishes its results).
+    /// phase timings (how the sweep's task queue publishes its builds).
     pub fn insert_workload_timed(&mut self, wl: Arc<Workload>, timing: WorkloadTiming) {
         self.timings.insert((wl.kind(), wl.variant()), timing);
         self.insert_workload(wl);
@@ -249,6 +247,15 @@ impl Runner {
     /// is not cached at all.
     pub fn workload_timing(&self, kind: WorkloadKind, variant: IsaVariant) -> WorkloadTiming {
         self.timings.get(&(kind, variant)).copied().unwrap_or_default()
+    }
+
+    /// The cached workload, if it is built, as its shared [`Arc`].
+    pub(crate) fn cached_workload(
+        &self,
+        kind: WorkloadKind,
+        variant: IsaVariant,
+    ) -> Option<Arc<Workload>> {
+        self.workloads.get(&(kind, variant)).cloned()
     }
 
     /// True when the workload is already built and cached.
@@ -328,7 +335,7 @@ fn expect_simulated(key: &SimKey, result: Result<Metrics, SimError>) -> Metrics 
 ///
 /// Panics on verification failure — a harness that times broken traces
 /// would be meaningless.
-pub(crate) fn verify_timed(wl: &Workload) -> (u64, Duration) {
+fn verify_timed(wl: &Workload) -> (u64, Duration) {
     let t0 = Instant::now();
     let digest = wl
         .verify_digested()

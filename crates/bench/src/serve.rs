@@ -79,7 +79,7 @@ use mom3d_kernels::{IsaVariant, Workload, WorkloadKind};
 use std::collections::{HashMap, VecDeque};
 use std::io;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+use std::sync::{mpsc, Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -118,9 +118,9 @@ pub struct ServeConfig {
     /// Workload-image cache to hydrate workloads from (and persist
     /// fresh builds into).
     pub cache: Option<WorkloadCache>,
-    /// Build and verify every paper workload at boot (via the parallel
-    /// [`sweep::prebuild_workloads`] pipeline) instead of lazily on
-    /// first request.
+    /// Load (or build and verify) every paper workload at boot, on the
+    /// simulation threads and before the first connection is accepted,
+    /// instead of lazily on first request.
     pub prebuild: bool,
     /// Bound on the pending-work queue (0 = [`DEFAULT_QUEUE_LIMIT`]).
     /// `SIM`/`SWEEP` requests arriving at or over the bound are shed
@@ -206,6 +206,11 @@ pub(crate) struct Queue {
     /// Grants requeued because their connection went silent past the
     /// lease.
     pub(crate) lease_expiries: u64,
+    /// Cells the local pool is simulating.
+    running: usize,
+    /// Set by [`ServerHandle::join`] once the connections are drained:
+    /// the local pool returns when it finds the queue empty.
+    pool_closed: bool,
 }
 
 impl Queue {
@@ -581,15 +586,22 @@ fn local_loop(state: &CellService) {
             let mut q = state.lock();
             loop {
                 if let Some(key) = q.pending.pop_front() {
+                    q.running += 1;
                     break key;
                 }
-                if state.core.shutting_down() {
+                if q.pool_closed {
                     return; // drained + shutting down
                 }
                 q = state.wait_tick(q);
             }
         };
         run_cell(state, key);
+        let mut q = state.lock();
+        q.running -= 1;
+        if q.running == 0 && q.pending.is_empty() {
+            // The pool went idle: wake a shutdown waiting for that.
+            state.changed.notify_all();
+        }
     }
 }
 
@@ -659,29 +671,68 @@ fn stream_cells(state: &CellService, stream: &mut Stream, cells: &[SimKey]) -> O
 #[derive(Debug)]
 pub struct ServerHandle {
     pub(crate) state: Arc<CellService>,
-    /// The local pool and the accept loop; all of them return once
-    /// shutdown has begun.
-    threads: Vec<JoinHandle<()>>,
+    /// The local pool; it returns once [`ServerHandle::join`] closes it.
+    pool: Vec<JoinHandle<()>>,
+    /// The accept loop; it returns once shutdown has begun.
+    accept: Option<JoinHandle<()>>,
 }
 
 impl ServerHandle {
-    /// Starts `state` on `listener` with `local_threads` pool threads.
-    pub(crate) fn start(state: CellService, listener: Listener, local_threads: usize) -> Self {
+    /// Starts `state` on `listener` with `local_threads` pool threads,
+    /// which first resolve the `prebuild` workloads between them (pool
+    /// thread `i` every `local_threads`-th pair, from the `i`-th); the
+    /// accept loop starts once they are all resident.
+    ///
+    /// The pool is the only thread of the service that allocates until
+    /// then. glibc gives a thread its allocator arena at its first
+    /// allocation, handing out the arena of the thread that exited last,
+    /// so the pool takes over the heaps of the workers the process ran
+    /// last and loads the workloads into the arenas it simulates in,
+    /// whatever the threads' timing; the connection threads get other
+    /// arenas. Which thread got which arena used to depend on timing, and
+    /// set the served benchmark's peak resident set apart by 20 MB from
+    /// one run to the next.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a prebuilt workload fails to build or verify.
+    pub(crate) fn start(
+        state: CellService,
+        listener: Listener,
+        local_threads: usize,
+        prebuild: &[(WorkloadKind, IsaVariant)],
+    ) -> Self {
         let state = Arc::new(state);
-        // Pool first: the spawn order decides which allocator arenas the
-        // simulation threads inherit, and spawning the accept loop first
-        // measurably raised the served benchmark's peak resident set.
-        let mut threads: Vec<JoinHandle<()>> = (0..local_threads)
+        let (loaded_tx, loaded) = mpsc::channel();
+        let pool = (0..local_threads)
             .map(|i| {
                 let state = Arc::clone(&state);
+                let mine: Vec<_> =
+                    prebuild.iter().copied().skip(i).step_by(local_threads).collect();
+                let loaded_tx = loaded_tx.clone();
                 std::thread::Builder::new()
                     .name(format!("mom3d-sim-{i}"))
-                    .spawn(move || local_loop(&state))
+                    .spawn(move || {
+                        let ok = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                            for (kind, variant) in mine {
+                                resolve_workload(&state, kind, variant);
+                            }
+                        }));
+                        let _ = loaded_tx.send(ok.is_ok());
+                        local_loop(&state)
+                    })
                     .expect("spawning a simulation worker")
             })
             .collect();
-        threads.push(server::spawn_accept(Arc::clone(&state), listener));
-        ServerHandle { state, threads }
+        drop(loaded_tx);
+        let failed = loaded.iter().take(local_threads).filter(|ok| !ok).count();
+        let mut handle = ServerHandle { state, pool, accept: None };
+        if failed > 0 {
+            handle.join();
+            panic!("prebuilding the workloads failed on {failed} simulation thread(s)");
+        }
+        handle.accept = Some(server::spawn_accept(Arc::clone(&handle.state), listener));
+        handle
     }
 
     /// The endpoint the server actually listens on (for `tcp:…:0`, the
@@ -696,14 +747,31 @@ impl ServerHandle {
         self.state.counters_snapshot()
     }
 
-    /// Joins every service thread — they return once shutdown has
-    /// begun and the local pool has run every queued cell — then drains
-    /// the open connections.
+    /// Joins every service thread once shutdown has begun: the accept
+    /// loop; then, once the local pool has run every queued cell, the
+    /// open connections' handlers (drained); then the pool.
+    ///
+    /// The pool's threads exit last on purpose: they hold most of the
+    /// service's heap, and glibc hands a new thread the allocator arena
+    /// of the thread that exited last, so the next threads the process
+    /// starts reuse those arenas rather than leave one resident beside
+    /// fresh ones (see [`ServerHandle::start`]).
     pub(crate) fn join(&mut self) {
-        for thread in self.threads.drain(..) {
-            let _ = thread.join();
+        if let Some(accept) = self.accept.take() {
+            let _ = accept.join();
+        }
+        if !self.pool.is_empty() {
+            let mut q = self.state.lock();
+            while !q.pending.is_empty() || q.running > 0 {
+                q = self.state.wait_tick(q);
+            }
         }
         self.state.core.drain();
+        self.state.lock().pool_closed = true;
+        self.state.changed.notify_all();
+        for thread in self.pool.drain(..) {
+            let _ = thread.join();
+        }
     }
 
     /// Blocks until the server shuts down (a client sent `SHUTDOWN`),
@@ -761,20 +829,12 @@ pub fn serve(endpoint: Endpoint, config: ServeConfig) -> io::Result<ServerHandle
     if config.queue_limit > 0 {
         state.queue_limit = config.queue_limit;
     }
-    if config.prebuild {
-        let pairs: Vec<(WorkloadKind, IsaVariant)> = WorkloadKind::ALL
-            .into_iter()
-            .flat_map(|k| IsaVariant::ALL.map(|v| (k, v)))
-            .collect();
-        sweep::prebuild_workloads(&mut state.runner, &pairs, threads);
-        for &(kind, variant) in &pairs {
-            if let Schedule::Claimed = state.workloads.schedule((kind, variant)) {
-                state.workloads.publish((kind, variant), state.runner.workload_arc(kind, variant));
-            }
-        }
-        state.counters.workloads_built.store(pairs.len() as u64, Ordering::Relaxed);
-    }
-    Ok(ServerHandle::start(state, listener, threads))
+    let prebuild: Vec<(WorkloadKind, IsaVariant)> = if config.prebuild {
+        WorkloadKind::ALL.into_iter().flat_map(|k| IsaVariant::ALL.map(|v| (k, v))).collect()
+    } else {
+        Vec::new()
+    };
+    Ok(ServerHandle::start(state, listener, threads, &prebuild))
 }
 
 #[cfg(test)]
@@ -1002,6 +1062,80 @@ mod tests {
             std::thread::sleep(Duration::from_millis(5));
         }
         handle.shutdown();
+    }
+
+    /// `prebuild` makes every paper workload resident, split over the
+    /// pool, before `serve` returns; a request then builds nothing.
+    #[test]
+    fn prebuild_makes_every_workload_resident_before_serve_returns() {
+        let config = ServeConfig { prebuild: true, ..test_config() };
+        let handle = serve(unix_endpoint("prebuild"), config).expect("server binds");
+        let pairs = (WorkloadKind::ALL.len() * IsaVariant::ALL.len()) as u64;
+        assert_eq!(handle.counters().workloads_built, pairs);
+        let key = SimKey {
+            kind: WorkloadKind::GsmEncode,
+            variant: IsaVariant::Mom3d,
+            memory: MemorySystemKind::VectorCache3d.into(),
+            l2_latency: 20,
+        };
+        let mut client = Client::connect(handle.endpoint()).unwrap();
+        let Response::Result(reply) = client.round_trip(&Request::Sim(key)).unwrap() else {
+            panic!("expected a result");
+        };
+        let mut r = Runner::small(5);
+        assert_eq!(reply.metrics, r.metrics(key.kind, key.variant, key.memory, key.l2_latency));
+        assert_eq!(handle.counters().workloads_built, pairs, "a request built a workload");
+        drop(client);
+        handle.shutdown();
+    }
+
+    /// Shutdown in the middle of a sweep: the pool still runs every
+    /// queued cell, the sweep's connection gets each result and its
+    /// `DONE`, and once `shutdown` returns no service thread (pool,
+    /// accept loop or connection handler) still holds the service.
+    #[test]
+    fn shutdown_finishes_a_queued_sweep_and_leaves_no_thread_behind() {
+        let handle = serve(unix_endpoint("finish"), test_config()).expect("server binds");
+        let cells: Vec<SimKey> = [20, 40, 60, 80]
+            .into_iter()
+            .flat_map(|l2_latency| {
+                WorkloadKind::ALL.map(|kind| SimKey {
+                    kind,
+                    variant: IsaVariant::Mom,
+                    memory: MemorySystemKind::VectorCache.into(),
+                    l2_latency,
+                })
+            })
+            .collect();
+        let mut client = Client::connect(handle.endpoint()).unwrap();
+        client.send(&Request::Sweep(cells.clone())).unwrap();
+        let deadline = Instant::now() + Duration::from_secs(60);
+        loop {
+            let q = handle.state.lock();
+            if !q.pending.is_empty() || q.running > 0 {
+                break;
+            }
+            drop(q);
+            assert!(Instant::now() < deadline, "the sweep never reached the pool");
+            std::thread::sleep(Duration::from_micros(200));
+        }
+        let state = Arc::clone(&handle.state);
+        let stopper = std::thread::spawn(move || handle.shutdown());
+        let mut streamed = 0;
+        loop {
+            match client.recv().expect("the sweep's stream survives the shutdown") {
+                Response::Result(_) => streamed += 1,
+                Response::Done { results } => {
+                    assert_eq!(results as usize, cells.len());
+                    break;
+                }
+                other => panic!("unexpected mid-sweep reply {other:?}"),
+            }
+        }
+        assert_eq!(streamed, cells.len());
+        drop(client);
+        stopper.join().unwrap();
+        assert_eq!(Arc::strong_count(&state), 1, "a service thread outlived shutdown");
     }
 
     #[test]

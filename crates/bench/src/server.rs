@@ -9,7 +9,8 @@
 //! wrap, read/write deadlines, one handler thread per connection
 //! running one frame loop that hands every decoded request to the
 //! service, and one shutdown path: latch, self-connect, drain for
-//! [`DRAIN_GRACE`], force-close the stragglers, unlink.
+//! [`DRAIN_GRACE`], force-close the stragglers, join the handlers that
+//! ended, unlink.
 
 use crate::faults::{chaos_wrap, ChaosConfig, FrameWarnings};
 use crate::protocol::{
@@ -148,6 +149,8 @@ pub(crate) struct Core {
     /// read. Its length is what the cap is enforced against.
     conns: Mutex<HashMap<u64, Option<Stream>>>,
     conns_changed: Condvar,
+    /// Handler threads not yet joined, by connection id.
+    handlers: Mutex<Vec<(u64, JoinHandle<()>)>>,
     warnings: FrameWarnings,
     pub(crate) connections: AtomicU64,
     pub(crate) refused: AtomicU64,
@@ -172,6 +175,7 @@ impl Core {
             accept_panic_after,
             conns: Mutex::new(HashMap::new()),
             conns_changed: Condvar::new(),
+            handlers: Mutex::new(Vec::new()),
             warnings: FrameWarnings::new(),
             connections: AtomicU64::new(0),
             refused: AtomicU64::new(0),
@@ -199,6 +203,14 @@ impl Core {
         true
     }
 
+    /// Keeps the handler thread of connection `id` for drain to join,
+    /// dropping (detaching) those that have already exited.
+    fn track(&self, id: u64, handler: JoinHandle<()>) {
+        let mut handlers = self.handlers.lock().expect("handler list poisoned");
+        handlers.retain(|(_, h)| !h.is_finished());
+        handlers.push((id, handler));
+    }
+
     /// Unregisters a finished connection and wakes the drain waiter.
     fn release(&self, id: u64) {
         self.conns.lock().expect("connection registry poisoned").remove(&id);
@@ -217,7 +229,9 @@ impl Core {
 
     /// Ends every shutdown once the accept loop is joined: open
     /// connections get [`DRAIN_GRACE`], the stragglers are force-closed
-    /// and waited for, then the socket file is unlinked.
+    /// and waited for, the handler of every connection that ended is
+    /// joined (so none is still exiting when drain returns), then the
+    /// socket file is unlinked.
     pub(crate) fn drain(&self) {
         if !self.wait_conns(DRAIN_GRACE) {
             let conns = self.conns.lock().expect("connection registry poisoned");
@@ -226,6 +240,19 @@ impl Core {
             }
             drop(conns);
             let _ = self.wait_conns(DRAIN_FORCE_WAIT);
+        }
+        let handlers = std::mem::take(&mut *self.handlers.lock().expect("handler list poisoned"));
+        let conns = self.conns.lock().expect("connection registry poisoned");
+        // A handler still registered after the force wait is stuck; it
+        // stays detached rather than hanging the shutdown.
+        let ended: Vec<JoinHandle<()>> = handlers
+            .into_iter()
+            .filter(|(id, _)| !conns.contains_key(id))
+            .map(|(_, h)| h)
+            .collect();
+        drop(conns);
+        for handler in ended {
+            let _ = handler.join();
         }
         unlink(&self.endpoint);
     }
@@ -273,9 +300,10 @@ pub(crate) fn spawn_accept(state: Arc<CellService>, listener: Listener) -> JoinH
                 let spawned = std::thread::Builder::new()
                     .name("mom3d-conn".into())
                     .spawn(move || handle_connection(&handler, conn_id, stream));
-                if spawned.is_err() {
+                match spawned {
+                    Ok(thread) => core.track(conn_id, thread),
                     // The handler never ran; its ConnGuard never will.
-                    core.release(conn_id);
+                    Err(_) => core.release(conn_id),
                 }
             });
         })

@@ -305,7 +305,7 @@ pub fn coordinate(
         "mom3d-shard listening on {endpoint}; {fresh} of {total} cell(s) to simulate \
          ({resumed_cells} resumed)"
     );
-    let mut handle = ServerHandle::start(service, listener, 0);
+    let mut handle = ServerHandle::start(service, listener, 0, &[]);
     let state = Arc::clone(&handle.state);
 
     let mut children: Vec<ChildSlot> = (0..config.workers as u32)
@@ -538,14 +538,17 @@ pub fn run_worker(endpoint: &Endpoint, config: &WorkerConfig) -> io::Result<Work
                 sweep::prebuild_workloads(runner, &pairs, threads);
                 let mut completed: u32 = 0;
                 // Each run of one trace's cells shares that trace's
-                // decode, dependence graph and warmed caches.
+                // decode, wakeup lists and warmed caches, prepared by
+                // its first uncached cell (whose wall-clock includes it).
                 for run in cells.chunk_by(|a, b| (a.kind, a.variant) == (b.kind, b.variant)) {
                     let wl = runner.workload_arc(run[0].kind, run[0].variant);
-                    let prepared = PreparedTrace::new(wl.trace());
+                    let mut prepared = None;
                     for key in run {
                         let t0 = Instant::now();
                         let metrics = runner.cached_metrics(key).unwrap_or_else(|| {
-                            let metrics = simulate_prepared(key, &prepared);
+                            let prepared =
+                                prepared.get_or_insert_with(|| PreparedTrace::new(wl.trace()));
+                            let metrics = simulate_prepared(key, prepared);
                             runner.insert_metrics(*key, metrics);
                             metrics
                         });

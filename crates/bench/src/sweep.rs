@@ -4,21 +4,25 @@
 //! × memory systems × L2 latencies, and every cell of that product is an
 //! independent pure computation: build + verify a workload (once per
 //! `(workload, variant)` pair), then run one deterministic timing
-//! simulation. This module exploits that independence:
+//! simulation. This module exploits that independence with one queue of
+//! per-trace tasks over [`std::thread::scope`] workers ([`run`]):
 //!
-//! 1. [`prebuild_workloads`] builds and verifies the needed workloads in
-//!    parallel (building dominates the cold-start cost — each build runs
-//!    the functional emulator against the scalar reference);
-//! 2. [`run`] partitions the simulation cells over [`std::thread::scope`]
-//!    workers pulling from an atomic work queue, sharing the verified
-//!    workloads read-only behind [`Arc`]; a trace's cells are queued back
-//!    to back and share one [`PreparedTrace`] (dependence graph, warmed
-//!    caches), freed after the trace's last cell;
-//! 3. the per-worker [`Metrics`] are merged back into the [`Runner`]
-//!    cache in deterministic (enumeration) order, so the figure/table
-//!    formatters downstream see exactly what a serial run would have
-//!    computed — bit-identical, since each cell's simulation is pure and
-//!    its configuration is derived from the same [`SimKey::config`].
+//! * a worker claims a trace, loads its workload from the image cache or
+//!   builds and verifies it (building dominates the cold-start cost —
+//!   each build runs the functional emulator against the scalar
+//!   reference), prepares the trace once ([`PreparedTrace`]: decode,
+//!   wakeup lists, warmed caches) and runs the trace's cells on it;
+//! * an idle worker starts the next trace nobody has started, and once
+//!   none is left joins the trace with the most unclaimed cells, sharing
+//!   its `PreparedTrace`; there is no barrier between building and
+//!   simulating, and the trace's last cell frees the shared state;
+//! * the per-worker [`Metrics`] are merged back into the [`Runner`]
+//!   cache in deterministic (enumeration) order, so the figure/table
+//!   formatters downstream see exactly what a serial run would have
+//!   computed — bit-identical, since each cell's simulation is pure and
+//!   its configuration is derived from the same [`SimKey::config`].
+//!
+//! [`prebuild_workloads`] is the same queue with no cells.
 //!
 //! Worker count comes from [`threads_from_env`] (`MOM3D_SWEEP_THREADS`,
 //! default: all available cores). [`SweepReport::write_json`] emits a
@@ -36,15 +40,15 @@
 
 use crate::cache::CacheStats;
 use crate::json::json_string;
-use crate::runner::{simulate_prepared, verify_timed, Runner, SimKey, WorkloadTiming};
+use crate::runner::{simulate_prepared, Runner, SimKey, WorkloadTiming};
 use crate::stats::Percentiles;
 use mom3d_cpu::{BackendId, BackendRegistry, MemorySystemKind, Metrics, PreparedTrace};
-use mom3d_isa::Trace;
 use mom3d_kernels::{IsaVariant, Workload, WorkloadKind};
 use std::collections::{HashMap, HashSet};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::ops::Range;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
 use std::time::{Duration, Instant};
 
 // The sweep hands workloads and metrics across threads; keep that a
@@ -63,8 +67,10 @@ pub struct CellResult {
     pub key: SimKey,
     /// The simulation's metrics (bit-identical to a serial run).
     pub metrics: Metrics,
-    /// Wall-clock of this cell's simulation phase ([`Duration::ZERO`]
-    /// when the cell was served from the runner's cache).
+    /// Wall-clock of this cell's simulation phase, its trace's
+    /// preparation included when this cell did the preparing
+    /// ([`Duration::ZERO`] when the cell was served from the runner's
+    /// cache).
     pub wall: Duration,
     /// Build/verify wall-clock of the cell's workload. The workload is
     /// built once and shared, so cells over the same
@@ -325,42 +331,11 @@ pub fn json_path_from_env() -> PathBuf {
     std::env::var_os("MOM3D_SWEEP_JSON").map_or_else(|| PathBuf::from("BENCH_sweep.json"), PathBuf::from)
 }
 
-/// What one worker produced for one `(workload, variant)` pair.
-type PreparedWorkload = (usize, Workload, WorkloadTiming, bool);
-
-/// Shared state of the prebuild pipeline (guarded by one mutex; a
-/// condvar wakes idle workers when verify jobs appear or the pipeline
-/// drains).
-struct PrebuildState {
-    /// Next index of `todo` to claim for the cache-load/build stage.
-    next_build: usize,
-    /// Built-but-unverified workloads waiting for a verify worker:
-    /// `(index, workload, build wall-clock)`.
-    verify_q: Vec<(usize, Workload, Duration)>,
-    /// Finished pairs: `(index, workload, timing, from_cache)`.
-    done: Vec<PreparedWorkload>,
-    /// Pairs not yet in `done`.
-    remaining: usize,
-    /// A worker panicked; everyone else should stop waiting.
-    failed: bool,
-}
-
 /// Makes every listed workload available in the runner's in-memory
-/// cache, using all of `threads` scoped workers for the cold path and
-/// the runner's workload-image cache (when attached) to skip it.
-///
-/// The cold path is a two-stage pipeline over one worker pool rather
-/// than a fused build+verify per pair: a worker that finishes **building**
-/// a workload pushes it onto a verify queue and moves on, and any idle
-/// worker picks the verification up. Build and emulator-verify of
-/// *different ISA variants of the same workload* (and of different
-/// workloads) therefore overlap freely — previously a pair's
-/// verification was stuck behind its own build on the same worker, so
-/// the slowest build+verify chain bounded the cold start.
-///
-/// With an image cache attached, each pair first attempts a cache load
-/// (in parallel too); hits skip both stages, misses flow down the
-/// pipeline and are persisted after their verification passes.
+/// cache: [`run`]'s task queue with no cells, so `threads` workers each
+/// claim a pair, load it from the runner's workload-image cache (when
+/// attached) or build and verify it, and store a fresh image only after
+/// it verifies.
 ///
 /// # Panics
 ///
@@ -372,116 +347,12 @@ pub fn prebuild_workloads(
     threads: usize,
 ) {
     let mut seen = HashSet::new();
-    let todo: Vec<(WorkloadKind, IsaVariant)> = pairs
+    let tasks: Vec<TraceTask> = pairs
         .iter()
-        .copied()
-        .filter(|&(k, v)| seen.insert((k, v)) && !runner.has_workload(k, v))
+        .filter(|&&(k, v)| seen.insert((k, v)) && !runner.has_workload(k, v))
+        .map(|&(kind, variant)| TraceTask::new(runner, kind, variant, 0..0))
         .collect();
-    if todo.is_empty() {
-        return;
-    }
-    let shared: &Runner = runner;
-    let state = Mutex::new(PrebuildState {
-        next_build: 0,
-        verify_q: Vec::new(),
-        done: Vec::with_capacity(todo.len()),
-        remaining: todo.len(),
-        failed: false,
-    });
-    let cvar = Condvar::new();
-    std::thread::scope(|s| {
-        // Each pair runs at most one stage (build or verify) at a time,
-        // so more than one worker per pair can never be simultaneously
-        // busy.
-        let workers = threads.clamp(1, todo.len());
-        for _ in 0..workers {
-            s.spawn(|| {
-                let mut guard = state.lock().expect("prebuild state poisoned");
-                loop {
-                    if guard.failed {
-                        break;
-                    }
-                    // Verification first: it retires pairs and keeps the
-                    // queue from growing unboundedly.
-                    if let Some((i, wl, build)) = guard.verify_q.pop() {
-                        drop(guard);
-                        let step = run_step(&state, &cvar, || {
-                            let (digest, verify) = verify_timed(&wl);
-                            if let Some(cache) = shared.cache() {
-                                let key = shared.image_key(wl.kind(), wl.variant());
-                                cache.store(&wl, &key, digest);
-                            }
-                            verify
-                        });
-                        guard = state.lock().expect("prebuild state poisoned");
-                        guard.done.push((i, wl, WorkloadTiming { build, verify: step }, false));
-                        guard.remaining -= 1;
-                        cvar.notify_all();
-                        continue;
-                    }
-                    if guard.next_build < todo.len() {
-                        let i = guard.next_build;
-                        guard.next_build += 1;
-                        drop(guard);
-                        let (kind, variant) = todo[i];
-                        let outcome = run_step(&state, &cvar, || {
-                            if let Some(cache) = shared.cache() {
-                                let t0 = Instant::now();
-                                if let Some(wl) = cache.load(&shared.image_key(kind, variant)) {
-                                    return (wl, t0.elapsed(), true);
-                                }
-                            }
-                            let (wl, build) = shared.build_workload_unverified(kind, variant);
-                            (wl, build, false)
-                        });
-                        guard = state.lock().expect("prebuild state poisoned");
-                        match outcome {
-                            (wl, load, true) => {
-                                let timing =
-                                    WorkloadTiming { build: load, verify: Duration::ZERO };
-                                guard.done.push((i, wl, timing, true));
-                                guard.remaining -= 1;
-                            }
-                            (wl, build, false) => guard.verify_q.push((i, wl, build)),
-                        }
-                        cvar.notify_all();
-                        continue;
-                    }
-                    if guard.remaining == 0 {
-                        break;
-                    }
-                    // Nothing to do yet: another worker's build will feed
-                    // the verify queue (or finish the pipeline).
-                    guard = cvar.wait(guard).expect("prebuild state poisoned");
-                }
-            });
-        }
-    });
-    let mut done = state.into_inner().expect("prebuild state poisoned").done;
-    done.sort_by_key(|&(i, ..)| i);
-    for (_, wl, timing, _) in done {
-        runner.insert_workload_timed(Arc::new(wl), timing);
-    }
-}
-
-/// Runs one pipeline stage outside the lock, making sure a panicking
-/// stage wakes every waiting worker (otherwise the scope would deadlock
-/// joining workers parked on the condvar) before the panic propagates.
-fn run_step<T>(
-    state: &Mutex<PrebuildState>,
-    cvar: &Condvar,
-    step: impl FnOnce() -> T,
-) -> T {
-    match std::panic::catch_unwind(std::panic::AssertUnwindSafe(step)) {
-        Ok(v) => v,
-        Err(payload) => {
-            if let Ok(mut guard) = state.lock() {
-                guard.failed = true;
-            }
-            cvar.notify_all();
-            std::panic::resume_unwind(payload);
-        }
-    }
+    execute(runner, &tasks, &[], threads);
 }
 
 /// Runs a sweep: simulates every not-yet-cached cell of `cells` on
@@ -489,10 +360,15 @@ fn run_step<T>(
 /// cache, returning per-cell results (cached cells included, flagged
 /// `reused`) in first-occurrence enumeration order.
 ///
-/// Workers pull cells from a shared atomic queue (cells differ wildly in
-/// cost — `mpeg2 encode` dwarfs `gsm encode` — so static partitioning
-/// would idle most threads); determinism is unaffected because every
-/// cell is an independent pure simulation and results are published in
+/// The work is one queue of per-trace tasks, in first-occurrence order.
+/// A worker claims a trace, loads or builds and verifies its workload,
+/// prepares the trace ([`PreparedTrace`]) and runs the trace's cells.
+/// A worker out of cells of its own starts the next trace nobody has
+/// started, or once none is left joins the trace with the most
+/// unclaimed cells and shares its `PreparedTrace`, waiting only if that
+/// is still being prepared. The trace's last cell frees the shared
+/// state. Determinism is unaffected because every cell is an
+/// independent pure simulation and results are published in
 /// enumeration order.
 ///
 /// # Panics
@@ -501,69 +377,21 @@ fn run_step<T>(
 /// worker thread panics.
 pub fn run(runner: &mut Runner, cells: &[SimKey], threads: usize) -> SweepReport {
     let start = Instant::now();
-    let threads = threads.max(1);
-
     let unique = unique_cells(cells);
-
-    // Phase 1: make every needed workload available behind an Arc.
-    let pairs: Vec<(WorkloadKind, IsaVariant)> = unique
-        .iter()
-        .filter(|c| runner.cached_metrics(c).is_none())
-        .map(|c| (c.kind, c.variant))
-        .collect();
-    prebuild_workloads(runner, &pairs, threads);
-
-    // Phase 2: simulate the uncached cells, grouped by trace. The cells
-    // of a trace run back to back on one shared `PreparedTrace`
-    // (dependence graph, warmed caches), which the trace's last cell
-    // drops, so at most about one trace per worker holds that state at
-    // any time. Traces keep their first-occurrence order and cells their
-    // enumeration order within a trace.
-    let mut uncached: Vec<SimKey> =
+    let mut jobs: Vec<SimKey> =
         unique.iter().copied().filter(|c| runner.cached_metrics(c).is_none()).collect();
-    sort_by_trace(&mut uncached);
-    // Each job carries its trace group's index.
-    let mut jobs: Vec<(SimKey, Arc<Workload>, usize)> = Vec::with_capacity(uncached.len());
-    let mut groups: Vec<TraceGroup<'_>> = Vec::new();
-    for c in uncached {
-        if jobs.last().is_none_or(|(k, ..)| (k.kind, k.variant) != (c.kind, c.variant)) {
-            groups.push(TraceGroup::default());
-        }
-        *groups.last_mut().expect("a group per trace").left.get_mut() += 1;
-        jobs.push((c, runner.workload_arc(c.kind, c.variant), groups.len() - 1));
+    sort_by_trace(&mut jobs);
+    let mut tasks = Vec::new();
+    let mut first = 0;
+    for trace in jobs.chunk_by(|a, b| (a.kind, a.variant) == (b.kind, b.variant)) {
+        let (kind, variant) = (trace[0].kind, trace[0].variant);
+        tasks.push(TraceTask::new(runner, kind, variant, first..first + trace.len()));
+        first += trace.len();
     }
-    let next = AtomicUsize::new(0);
-    let mut fresh: Vec<(usize, Metrics, Duration)> = Vec::with_capacity(jobs.len());
-    let workers = threads.clamp(1, jobs.len().max(1));
-    std::thread::scope(|s| {
-        let handles: Vec<_> = (0..workers)
-            .map(|_| {
-                s.spawn(|| {
-                    let mut out = Vec::new();
-                    loop {
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        let Some((key, wl, g)) = jobs.get(i) else { break };
-                        let group = &groups[*g];
-                        let t0 = Instant::now();
-                        let metrics = simulate_prepared(key, &group.prepared(wl.trace()));
-                        group.cell_done();
-                        out.push((i, metrics, t0.elapsed()));
-                    }
-                    out
-                })
-            })
-            .collect();
-        for h in handles {
-            fresh.extend(h.join().expect("sweep worker panicked"));
-        }
-    });
-
-    // Phase 3: publish into the runner cache in enumeration order.
-    fresh.sort_by_key(|&(i, ..)| i);
-    let mut walls: HashMap<SimKey, Duration> = HashMap::with_capacity(fresh.len());
-    for (i, metrics, wall) in fresh {
-        runner.insert_metrics(jobs[i].0, metrics);
-        walls.insert(jobs[i].0, wall);
+    let mut walls: HashMap<SimKey, Duration> = HashMap::with_capacity(jobs.len());
+    for (j, metrics, wall) in execute(runner, &tasks, &jobs, threads) {
+        runner.insert_metrics(jobs[j], metrics);
+        walls.insert(jobs[j], wall);
     }
 
     let cells = unique
@@ -582,7 +410,7 @@ pub fn run(runner: &mut Runner, cells: &[SimKey], threads: usize) -> SweepReport
     SweepReport {
         seed: runner.seed(),
         small: runner.is_small(),
-        threads: workers,
+        threads: threads.clamp(1, jobs.len().max(1)),
         wall: start.elapsed(),
         workload_cache: runner.cache().map(|c| c.stats()),
         sharding: None,
@@ -590,26 +418,196 @@ pub fn run(runner: &mut Runner, cells: &[SimKey], threads: usize) -> SweepReport
     }
 }
 
-/// The shared per-trace state of one trace's cells in [`run`], alive
-/// from the first of them to start until the last to finish.
-#[derive(Default)]
-struct TraceGroup<'t> {
-    state: Mutex<Option<Arc<PreparedTrace<'t>>>>,
-    /// Cells of the trace not yet finished.
-    left: AtomicUsize,
+/// One trace of the task queue: its workload, and the cells to simulate
+/// on it as a range of the job list.
+struct TraceTask {
+    kind: WorkloadKind,
+    variant: IsaVariant,
+    /// Set up front when the runner already holds the workload,
+    /// otherwise by the worker that starts the task.
+    workload: OnceLock<Arc<Workload>>,
+    jobs: Range<usize>,
 }
 
-impl<'t> TraceGroup<'t> {
-    /// The trace's shared state, created by the first cell to ask.
-    fn prepared(&self, trace: &'t Trace) -> Arc<PreparedTrace<'t>> {
-        let mut state = self.state.lock().expect("trace state poisoned");
-        Arc::clone(state.get_or_insert_with(|| Arc::new(PreparedTrace::new(trace))))
+impl TraceTask {
+    fn new(runner: &Runner, kind: WorkloadKind, variant: IsaVariant, jobs: Range<usize>) -> Self {
+        let workload =
+            runner.cached_workload(kind, variant).map_or_else(OnceLock::new, OnceLock::from);
+        TraceTask { kind, variant, workload, jobs }
     }
+}
 
-    /// Records a finished cell; the last one frees the shared state.
-    fn cell_done(&self) {
-        if self.left.fetch_sub(1, Ordering::Relaxed) == 1 {
-            *self.state.lock().expect("trace state poisoned") = None;
+/// What the workers of [`execute`] share, behind one mutex.
+struct Queue<'w> {
+    /// The first task no worker has started.
+    next: usize,
+    tasks: Vec<Progress<'w>>,
+    /// A worker panicked: nobody claims or waits any more.
+    failed: bool,
+}
+
+/// Where one task stands.
+struct Progress<'w> {
+    /// Its jobs no worker has claimed.
+    unclaimed: Range<usize>,
+    /// Its jobs not finished.
+    left: usize,
+    /// The trace's shared state, from the end of its preparation until
+    /// its last job finishes.
+    prepared: Option<Arc<PreparedTrace<'w>>>,
+}
+
+/// A worker's next step.
+enum Claim<'w> {
+    /// Start task `.0`; run job `.1`, if any, after preparing the trace.
+    Start(usize, Option<usize>),
+    /// Run job `.1` of task `.0` on the trace's prepared state.
+    Join(usize, usize, Arc<PreparedTrace<'w>>),
+}
+
+/// What one worker did: the tasks whose workload it loaded or built,
+/// and each job it ran with its metrics and wall-clock.
+#[derive(Default)]
+struct Done {
+    built: Vec<(usize, WorkloadTiming)>,
+    jobs: Vec<(usize, Metrics, Duration)>,
+}
+
+fn lock<'a, 'w>(queue: &'a Mutex<Queue<'w>>) -> MutexGuard<'a, Queue<'w>> {
+    queue.lock().expect("sweep queue poisoned")
+}
+
+/// Runs `tasks` on up to `threads` scoped workers (see [`run`]) and
+/// publishes the workloads they loaded or built into `runner`, in task
+/// order. Returns every job's metrics and wall-clock, in job order.
+fn execute(
+    runner: &mut Runner,
+    tasks: &[TraceTask],
+    jobs: &[SimKey],
+    threads: usize,
+) -> Vec<(usize, Metrics, Duration)> {
+    let units: usize = tasks.iter().map(|t| t.jobs.len().max(1)).sum();
+    if units == 0 {
+        return Vec::new();
+    }
+    let progress = tasks
+        .iter()
+        .map(|t| Progress { unclaimed: t.jobs.clone(), left: t.jobs.len(), prepared: None });
+    let queue = Mutex::new(Queue { next: 0, tasks: progress.collect(), failed: false });
+    let ready = Condvar::new();
+    let shared: &Runner = runner;
+    let done: Vec<Done> = std::thread::scope(|s| {
+        let handles: Vec<_> = (0..threads.clamp(1, units))
+            .map(|_| s.spawn(|| work(shared, tasks, jobs, &queue, &ready)))
+            .collect();
+        handles.into_iter().map(|h| h.join().expect("sweep worker panicked")).collect()
+    });
+    let (mut built, mut fresh) = (Vec::new(), Vec::with_capacity(jobs.len()));
+    for d in done {
+        built.extend(d.built);
+        fresh.extend(d.jobs);
+    }
+    built.sort_by_key(|&(t, _)| t);
+    for (t, timing) in built {
+        let wl = tasks[t].workload.get().expect("a started task has its workload");
+        runner.insert_workload_timed(Arc::clone(wl), timing);
+    }
+    fresh.sort_by_key(|&(j, ..)| j);
+    fresh
+}
+
+/// One worker of [`execute`]: claims and runs steps until none is left.
+fn work<'w>(
+    runner: &Runner,
+    tasks: &'w [TraceTask],
+    jobs: &[SimKey],
+    queue: &Mutex<Queue<'w>>,
+    ready: &Condvar,
+) -> Done {
+    let _bail = Bail { queue, ready };
+    let mut done = Done::default();
+    let mut mine = None;
+    while let Some(claim) = next_claim(queue, ready, mine) {
+        let (t, job, prepared, t0) = match claim {
+            Claim::Start(t, job) => {
+                let task = &tasks[t];
+                let wl = task.workload.get_or_init(|| {
+                    let (wl, timing, _) = runner.load_or_build(task.kind, task.variant);
+                    done.built.push((t, timing));
+                    Arc::new(wl)
+                });
+                let Some(job) = job else { continue };
+                // The preparing job's wall-clock includes the preparation.
+                let t0 = Instant::now();
+                let prepared = Arc::new(PreparedTrace::new(wl.trace()));
+                lock(queue).tasks[t].prepared = Some(Arc::clone(&prepared));
+                ready.notify_all();
+                (t, job, prepared, t0)
+            }
+            Claim::Join(t, job, prepared) => (t, job, prepared, Instant::now()),
+        };
+        mine = Some(t);
+        let metrics = simulate_prepared(&jobs[job], &prepared);
+        drop(prepared);
+        done.jobs.push((job, metrics, t0.elapsed()));
+        let mut q = lock(queue);
+        let task = &mut q.tasks[t];
+        task.left -= 1;
+        let last = if task.left == 0 { task.prepared.take() } else { None };
+        drop(q);
+        drop(last);
+    }
+    done
+}
+
+/// The next step for a worker last busy on task `mine`: a job of that
+/// task, else the next task nobody has started, else a job of the task
+/// with the most unclaimed jobs. Waits for a joined task's preparation;
+/// `None` once nothing is left or a worker has panicked.
+fn next_claim<'w>(
+    queue: &Mutex<Queue<'w>>,
+    ready: &Condvar,
+    mine: Option<usize>,
+) -> Option<Claim<'w>> {
+    let mut q = lock(queue);
+    if q.failed {
+        return None;
+    }
+    let (t, job) = match mine.and_then(|t| Some((t, q.tasks[t].unclaimed.next()?))) {
+        Some(claimed) => claimed,
+        None if q.next < q.tasks.len() => {
+            let t = q.next;
+            q.next += 1;
+            return Some(Claim::Start(t, q.tasks[t].unclaimed.next()));
+        }
+        None => {
+            let t = (0..q.tasks.len()).max_by_key(|&t| q.tasks[t].unclaimed.len())?;
+            (t, q.tasks[t].unclaimed.next()?)
+        }
+    };
+    loop {
+        if q.failed {
+            return None;
+        }
+        if let Some(prepared) = &q.tasks[t].prepared {
+            return Some(Claim::Join(t, job, Arc::clone(prepared)));
+        }
+        q = ready.wait(q).expect("sweep queue poisoned");
+    }
+}
+
+/// Marks the queue failed and wakes every waiting worker when a worker
+/// unwinds, so none waits for a trace that will never be prepared.
+struct Bail<'a, 'w> {
+    queue: &'a Mutex<Queue<'w>>,
+    ready: &'a Condvar,
+}
+
+impl Drop for Bail<'_, '_> {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            self.queue.lock().unwrap_or_else(PoisonError::into_inner).failed = true;
+            self.ready.notify_all();
         }
     }
 }
@@ -883,6 +881,79 @@ mod tests {
         assert!(again.cells[0].reused);
         assert_eq!(again.cells[0].wall, Duration::ZERO);
         assert_eq!(again.cells[0].workload, c.workload);
+    }
+
+    /// A cell on an unregistered backend panics out of [`run`] at 1, 2
+    /// and 4 workers while the other traces' cells are in flight, and
+    /// no worker is left waiting: the call returns within the deadline.
+    #[test]
+    fn an_unregistered_backend_panics_out_of_run_at_any_worker_count() {
+        let mut cells = Vec::new();
+        for kind in [WorkloadKind::GsmEncode, WorkloadKind::JpegDecode, WorkloadKind::Mpeg2Decode] {
+            for memory in [MemorySystemKind::Ideal, MemorySystemKind::VectorCache] {
+                cells.push(cell(kind, IsaVariant::Mom, memory, 20));
+            }
+        }
+        let bogus = BackendId::new("no-such-backend");
+        cells.insert(3, cell(WorkloadKind::JpegDecode, IsaVariant::Mom, bogus, 20));
+        for threads in [1, 2, 4] {
+            let cells = cells.clone();
+            let (tx, rx) = std::sync::mpsc::channel();
+            std::thread::spawn(move || {
+                let mut r = Runner::small(3);
+                let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                    run(&mut r, &cells, threads)
+                }));
+                tx.send(outcome.is_err()).expect("the test is waiting");
+            });
+            let panicked = rx
+                .recv_timeout(Duration::from_secs(300))
+                .unwrap_or_else(|_| panic!("{threads} workers: run never returned"));
+            assert!(panicked, "{threads} workers: the bogus cell must panic out of run");
+        }
+    }
+
+    /// Eight workers on two traces, with a runner that already holds one
+    /// workload and two cells' metrics, so six workers can only join a
+    /// trace another one started: the results equal the serial runner's
+    /// bit for bit, and the cached cells and workload are reused.
+    #[test]
+    fn eight_workers_on_two_traces_equal_the_serial_runner() {
+        let mut grid = Vec::new();
+        for kind in [WorkloadKind::GsmEncode, WorkloadKind::JpegEncode] {
+            for memory in [MemorySystemKind::Ideal, MemorySystemKind::MultiBanked] {
+                grid.push(cell(kind, IsaVariant::Mom, memory, 20));
+            }
+            for l2 in [20, 40, 60] {
+                grid.push(cell(kind, IsaVariant::Mom, MemorySystemKind::VectorCache, l2));
+            }
+            grid.push(cell(kind, IsaVariant::Mom, BackendId::new("dram-burst"), 20));
+        }
+        let mut serial = Runner::small(5);
+        let expected: Vec<Metrics> = grid
+            .iter()
+            .map(|c| serial.metrics(c.kind, c.variant, c.memory, c.l2_latency))
+            .collect();
+
+        let mut r = Runner::small(5);
+        let held = r.workload_arc(WorkloadKind::JpegEncode, IsaVariant::Mom);
+        let held_timing = r.workload_timing(WorkloadKind::JpegEncode, IsaVariant::Mom);
+        for i in [1, 8] {
+            r.insert_metrics(grid[i], expected[i]);
+        }
+        let report = run(&mut r, &grid, 8);
+        assert_eq!(report.threads, 8);
+        assert_eq!(report.fresh_cells(), grid.len() - 2);
+        for (i, (c, m)) in report.cells.iter().zip(&expected).enumerate() {
+            assert_eq!(c.key, grid[i]);
+            assert_eq!(c.metrics, *m, "{:?}", c.key);
+            assert_eq!(c.reused, i == 1 || i == 8, "{:?}", c.key);
+            assert_eq!(r.cached_metrics(&c.key), Some(*m));
+        }
+        let now = r.workload_arc(WorkloadKind::JpegEncode, IsaVariant::Mom);
+        assert!(Arc::ptr_eq(&held, &now), "the held workload is not rebuilt");
+        assert_eq!(r.workload_timing(WorkloadKind::JpegEncode, IsaVariant::Mom), held_timing);
+        assert!(r.workload_timing(WorkloadKind::GsmEncode, IsaVariant::Mom).build > Duration::ZERO);
     }
 
     #[test]

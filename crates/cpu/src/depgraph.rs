@@ -7,7 +7,7 @@
 //! correctness-sensitive patterns — e.g. motion-compensation writes
 //! followed by re-reads — must serialize).
 
-use mom3d_isa::{Reg, Trace};
+use mom3d_isa::{Instruction, Reg, Trace};
 use std::collections::VecDeque;
 
 /// How many recent stores are checked for load-store aliasing, mirroring
@@ -50,7 +50,9 @@ pub struct WakeEdge {
     pub ptr_only: bool,
 }
 
-/// The [`DepGraph`] inverted into per-producer wakeup lists (CSR).
+/// The [`DepGraph`] inverted into per-producer wakeup lists (CSR), as
+/// [`DepGraph::invert`] returns them and as [`crate::PreparedTrace::new`]
+/// builds them in one walk of the trace.
 ///
 /// `DepGraph` answers "which producers must finish before `i` may
 /// issue?" — the polling view, paid on every cycle for every waiting
@@ -90,58 +92,193 @@ impl WakeupLists {
     }
 }
 
+/// Sentinel for "no writer yet" in [`Renamer::last_writer`].
+const NO_WRITER: u32 = u32::MAX;
+
+/// The last [`STORE_WINDOW`] stores' byte envelopes, oldest first, and
+/// the hull of the window: a load whose envelope misses the hull
+/// overlaps no store in it and skips the scan (exact, since every store
+/// envelope lies inside the hull). The hull is kept by two monotonic
+/// queues, so each store costs O(1) amortized to track.
+#[derive(Debug, Default)]
+struct StoreWindow {
+    stores: VecDeque<(u32, (u64, u64))>,
+    /// Window stores whose `lo` is below every younger store's, oldest
+    /// first: the front holds the hull's low end.
+    lows: VecDeque<(u32, u64)>,
+    /// Window stores whose `hi` is above every younger store's, oldest
+    /// first: the front holds the hull's high end.
+    highs: VecDeque<(u32, u64)>,
+}
+
+impl StoreWindow {
+    /// Records store `i` with byte envelope `(lo, hi)`, forgetting the
+    /// oldest store once the window is full.
+    fn push(&mut self, i: u32, (lo, hi): (u64, u64)) {
+        if self.stores.len() == STORE_WINDOW {
+            let (old, _) = self.stores.pop_front().expect("a full window");
+            if self.lows.front().is_some_and(|&(s, _)| s == old) {
+                self.lows.pop_front();
+            }
+            if self.highs.front().is_some_and(|&(s, _)| s == old) {
+                self.highs.pop_front();
+            }
+        }
+        self.stores.push_back((i, (lo, hi)));
+        while self.lows.back().is_some_and(|&(_, l)| l >= lo) {
+            self.lows.pop_back();
+        }
+        self.lows.push_back((i, lo));
+        while self.highs.back().is_some_and(|&(_, h)| h <= hi) {
+            self.highs.pop_back();
+        }
+        self.highs.push_back((i, hi));
+    }
+
+    /// The most recent store in the window whose envelope overlaps
+    /// `[lo, hi)`.
+    fn last_overlap(&self, (lo, hi): (u64, u64)) -> Option<u32> {
+        let (&(_, hull_lo), &(_, hull_hi)) = (self.lows.front()?, self.highs.front()?);
+        if hull_lo < hi && lo < hull_hi {
+            self.last_overlap_scan((lo, hi))
+        } else {
+            None
+        }
+    }
+
+    /// [`StoreWindow::last_overlap`] without the hull test: every store
+    /// of the window, youngest first.
+    fn last_overlap_scan(&self, (lo, hi): (u64, u64)) -> Option<u32> {
+        self.stores.iter().rev().find(|(_, (slo, shi))| *slo < hi && lo < *shi).map(|&(s, _)| s)
+    }
+}
+
+/// Register renaming and the load–store alias search, one instruction
+/// at a time in trace order: the walk [`DepGraph::build`] and the
+/// one-pass [`WakeupBuilder`] share.
+#[derive(Debug)]
+struct Renamer {
+    /// Trace index of each register's last writer, or [`NO_WRITER`].
+    last_writer: Vec<u32>,
+    stores: StoreWindow,
+}
+
+impl Renamer {
+    fn new() -> Self {
+        Renamer { last_writer: vec![NO_WRITER; Reg::FLAT_COUNT], stores: StoreWindow::default() }
+    }
+
+    /// Appends the producer edges of `instr`, trace index `i`, to
+    /// `edges` (one per producer), then records its writes.
+    fn push(&mut self, i: u32, instr: &Instruction, edges: &mut Vec<DepEdge>) {
+        let start = edges.len();
+        // A producer reached through both a pointer and a data register
+        // (or through memory) is a data dependence.
+        let mut add = |producer: u32, ptr_only: bool| {
+            if let Some(e) = edges[start..].iter_mut().find(|e| e.producer == producer) {
+                e.ptr_only &= ptr_only;
+            } else {
+                edges.push(DepEdge { producer, ptr_only });
+            }
+        };
+        for src in instr.srcs.iter() {
+            let w = self.last_writer[src.flat_index()];
+            if w != NO_WRITER {
+                add(w, matches!(src, Reg::P(_)));
+            }
+        }
+        if let Some(mem) = &instr.mem {
+            if instr.opcode.is_load() {
+                // Most recent older store that overlaps.
+                if let Some(s) = self.stores.last_overlap(mem.envelope()) {
+                    add(s, false);
+                }
+            }
+            if instr.opcode.is_store() {
+                self.stores.push(i, mem.envelope());
+            }
+        }
+        for dst in instr.dsts.iter() {
+            self.last_writer[dst.flat_index()] = i;
+        }
+    }
+}
+
+/// Builds a trace's [`WakeupLists`] one instruction at a time, in the
+/// same walk that decodes the trace ([`crate::PreparedTrace::new`]):
+/// equal to `DepGraph::build(trace).invert()` without materializing the
+/// graph. Each consumer's edges are counted per producer as they are
+/// found, so [`WakeupBuilder::finish`] only places them.
+#[derive(Debug)]
+pub(crate) struct WakeupBuilder {
+    renamer: Renamer,
+    /// Producer edges of every instruction pushed, consumer by consumer.
+    edges: Vec<DepEdge>,
+    dep_counts: Vec<u32>,
+    /// `counts[p + 2]` = consumers of producer `p` found so far; the
+    /// two leading slots let [`WakeupBuilder::finish`] turn the counts
+    /// into CSR offsets in place.
+    counts: Vec<u32>,
+}
+
+impl WakeupBuilder {
+    /// An empty builder with room for a trace of `n` instructions.
+    pub(crate) fn with_capacity(n: usize) -> Self {
+        let mut counts = Vec::with_capacity(n + 2);
+        counts.extend([0, 0]);
+        WakeupBuilder {
+            renamer: Renamer::new(),
+            edges: Vec::with_capacity(n * 2),
+            dep_counts: Vec::with_capacity(n),
+            counts,
+        }
+    }
+
+    /// Adds the trace's next instruction.
+    pub(crate) fn push(&mut self, instr: &Instruction) {
+        let i = self.dep_counts.len();
+        let start = self.edges.len();
+        self.renamer.push(i as u32, instr, &mut self.edges);
+        self.dep_counts.push((self.edges.len() - start) as u32);
+        self.counts.push(0);
+        for e in &self.edges[start..] {
+            self.counts[e.producer as usize + 2] += 1;
+        }
+    }
+
+    /// The wakeup lists of the instructions pushed.
+    pub(crate) fn finish(self) -> WakeupLists {
+        let WakeupBuilder { edges: forward, dep_counts, counts: mut offsets, .. } = self;
+        // Prefix sums: `offsets[p + 1]` becomes the start of producer
+        // `p`'s list, and the cursor placing its consumers, which ends
+        // at the start of `p + 1`'s.
+        for k in 2..offsets.len() {
+            offsets[k] += offsets[k - 1];
+        }
+        let mut edges = vec![WakeEdge { consumer: 0, ptr_only: false }; forward.len()];
+        let mut deps = forward.iter();
+        for (i, &count) in dep_counts.iter().enumerate() {
+            for e in deps.by_ref().take(count as usize) {
+                let cursor = &mut offsets[e.producer as usize + 1];
+                edges[*cursor as usize] = WakeEdge { consumer: i as u32, ptr_only: e.ptr_only };
+                *cursor += 1;
+            }
+        }
+        offsets.pop();
+        WakeupLists { offsets, edges, dep_counts }
+    }
+}
+
 impl DepGraph {
     /// Builds the dependence graph for `trace`.
     pub fn build(trace: &Trace) -> Self {
         let n = trace.len();
         let mut offsets = Vec::with_capacity(n + 1);
         let mut edges: Vec<DepEdge> = Vec::with_capacity(n * 2);
-        let mut last_writer: Vec<Option<u32>> = vec![None; Reg::FLAT_COUNT];
-        let mut recent_stores: VecDeque<(u32, (u64, u64))> = VecDeque::new();
-
+        let mut renamer = Renamer::new();
         offsets.push(0);
         for (i, instr) in trace.iter().enumerate() {
-            let start = edges.len();
-            for src in instr.srcs.iter() {
-                if let Some(w) = last_writer[src.flat_index()] {
-                    let is_ptr = matches!(src, Reg::P(_));
-                    if let Some(e) = edges[start..].iter_mut().find(|e| e.producer == w) {
-                        // A producer reached through both a pointer and a
-                        // data register is a data dependence.
-                        e.ptr_only &= is_ptr;
-                    } else {
-                        edges.push(DepEdge { producer: w, ptr_only: is_ptr });
-                    }
-                }
-            }
-            if instr.opcode.is_load() {
-                if let Some(mem) = &instr.mem {
-                    let (lo, hi) = mem.envelope();
-                    // Most recent older store that overlaps.
-                    if let Some(&(s, _)) = recent_stores
-                        .iter()
-                        .rev()
-                        .find(|(_, (slo, shi))| *slo < hi && lo < *shi)
-                    {
-                        if let Some(e) = edges[start..].iter_mut().find(|e| e.producer == s) {
-                            e.ptr_only = false;
-                        } else {
-                            edges.push(DepEdge { producer: s, ptr_only: false });
-                        }
-                    }
-                }
-            }
-            if instr.opcode.is_store() {
-                if let Some(mem) = &instr.mem {
-                    if recent_stores.len() == STORE_WINDOW {
-                        recent_stores.pop_front();
-                    }
-                    recent_stores.push_back((i as u32, mem.envelope()));
-                }
-            }
-            for dst in instr.dsts.iter() {
-                last_writer[dst.flat_index()] = Some(i as u32);
-            }
+            renamer.push(i as u32, instr, &mut edges);
             offsets.push(edges.len() as u32);
         }
         DepGraph { offsets, edges }
@@ -373,5 +510,154 @@ mod tests {
         let g = DepGraph::build(&tb.finish());
         let last = g.len() - 1;
         assert!(!producers(&g, last).contains(&1));
+    }
+
+    mod equivalence {
+        //! The one-pass wakeup lists against `DepGraph::build(t).invert()`,
+        //! and the hull-filtered alias search against the full scan.
+
+        use super::*;
+        use mom3d_isa::{DReg, MmxReg, UsimdOp, Width};
+        use proptest::prelude::*;
+
+        /// Register and memory traffic over a 512-byte region, so that
+        /// loads often alias one of the recent stores and, on long
+        /// traces, the 64-store window evicts.
+        #[derive(Debug, Clone, Copy)]
+        enum Step {
+            Alu(u8, u8),
+            Load(u8, u16, u8),
+            Store(u8, u16, u8),
+            VLoad(u8, u16),
+            VStore(u8, u16),
+            SetVs(i8),
+            DvLoad(u16, u8),
+            DvMov(u8, i8),
+            Usimd(u8, u8),
+        }
+
+        fn step() -> impl Strategy<Value = Step> {
+            prop_oneof![
+                (0u8..8, 0u8..8).prop_map(|(d, s)| Step::Alu(d, s)),
+                (0u8..8, 0u16..512, 1u8..=8).prop_map(|(d, a, w)| Step::Load(d, a, w)),
+                (0u8..8, 0u16..512, 1u8..=8).prop_map(|(s, a, w)| Step::Store(s, a, w)),
+                (0u8..8, 0u16..512).prop_map(|(d, a)| Step::VLoad(d, a)),
+                (0u8..8, 0u16..512).prop_map(|(s, a)| Step::VStore(s, a)),
+                (-64i8..=64).prop_map(Step::SetVs),
+                (0u16..512, 1u8..=8).prop_map(|(a, w)| Step::DvLoad(a, w)),
+                (0u8..8, -4i8..=4).prop_map(|(d, p)| Step::DvMov(d, p)),
+                (0u8..8, 0u8..8).prop_map(|(d, s)| Step::Usimd(d, s)),
+            ]
+        }
+
+        fn build(steps: &[Step]) -> Trace {
+            let mut tb = TraceBuilder::new();
+            tb.set_vl(4);
+            let base = tb.li(Gpr::new(31), 0x4000);
+            let at = |a: u16| 0x4000 + a as u64;
+            for s in steps {
+                match *s {
+                    Step::Alu(d, s) => {
+                        tb.alui(IntOp::Add, Gpr::new(d), Gpr::new(s), 1);
+                    }
+                    Step::Load(d, a, w) => {
+                        tb.load_scalar(Gpr::new(d), base, at(a), w);
+                    }
+                    Step::Store(s, a, w) => tb.store_scalar(Gpr::new(s), base, at(a), w),
+                    Step::VLoad(d, a) => {
+                        tb.vload(MomReg::new(d), base, at(a));
+                    }
+                    Step::VStore(s, a) => tb.vstore(MomReg::new(s), base, at(a)),
+                    Step::SetVs(vs) => tb.set_vs(vs as i64),
+                    Step::DvLoad(a, w) => {
+                        tb.dvload(DReg::new(0), base, at(a), 16, w, false);
+                    }
+                    Step::DvMov(d, p) => {
+                        tb.dvmov(MomReg::new(d), DReg::new(0), p as i16);
+                    }
+                    Step::Usimd(d, s) => {
+                        tb.usimd2(
+                            UsimdOp::AddWrap(Width::B8),
+                            MmxReg::new(d),
+                            MmxReg::new(s),
+                            MmxReg::new((s + 1) % 8),
+                        );
+                    }
+                }
+            }
+            tb.finish()
+        }
+
+        proptest! {
+            /// For every instruction of a random trace, the lists the
+            /// one-pass builder makes hold the consumers, in order and
+            /// with their edge kinds, and the dependence count that the
+            /// inverted graph holds.
+            #[test]
+            fn one_pass_lists_equal_the_inverted_graph(
+                steps in proptest::collection::vec(step(), 0..300),
+            ) {
+                let trace = build(&steps);
+                let oracle = DepGraph::build(&trace).invert();
+                let mut builder = WakeupBuilder::with_capacity(trace.len());
+                for instr in trace.iter() {
+                    builder.push(instr);
+                }
+                let lists = builder.finish();
+                prop_assert_eq!(lists.len(), oracle.len());
+                for i in 0..trace.len() {
+                    prop_assert_eq!(lists.consumers(i), oracle.consumers(i), "consumers of {}", i);
+                    prop_assert_eq!(lists.dep_count(i), oracle.dep_count(i), "dep count of {}", i);
+                }
+            }
+
+            /// Over random envelopes, empty and huge ones included, the
+            /// hull test never skips a load that a store in the window
+            /// overlaps: the filtered search finds the store the full
+            /// scan finds, as the window fills and evicts.
+            #[test]
+            fn hull_filtered_alias_search_equals_the_full_scan(
+                ops in proptest::collection::vec(
+                    (any::<bool>(), 0u64..2048, prop_oneof![0u64..16, 0u64..1024]),
+                    1..400,
+                ),
+            ) {
+                let mut window = StoreWindow::default();
+                for (i, (is_store, lo, len)) in ops.into_iter().enumerate() {
+                    let envelope = (lo, lo + len);
+                    if is_store {
+                        window.push(i as u32, envelope);
+                    } else {
+                        prop_assert_eq!(
+                            window.last_overlap(envelope),
+                            window.last_overlap_scan(envelope),
+                            "load {} over {:?}", i, envelope
+                        );
+                    }
+                }
+            }
+        }
+
+        /// The generator does exercise the alias search: loads that
+        /// overlap a recent store get a memory edge.
+        #[test]
+        fn generated_traces_have_aliasing_loads() {
+            let steps: Vec<Step> = (0..64u16)
+                .map(|k| {
+                    if k % 2 == 0 {
+                        Step::Store(1, 8 * k, 8)
+                    } else {
+                        Step::Load(2, 8 * k - 4, 4)
+                    }
+                })
+                .collect();
+            let trace = build(&steps);
+            let g = DepGraph::build(&trace);
+            let aliasing = (0..g.len())
+                .filter(|&i| trace.instrs()[i].opcode.is_load())
+                .filter(|&i| g.dep_indices(i).any(|p| trace.instrs()[p as usize].opcode.is_store()))
+                .count();
+            assert_eq!(aliasing, 32, "every load overlaps the store before it");
+        }
     }
 }

@@ -34,10 +34,11 @@
 //!   memory opcode without a descriptor, which validate the trace
 //!   against any backend without another walk.
 //! * **Per-trace state** ([`PreparedTrace`]): the decoded program, the
-//!   wakeup lists and the warmed caches depend only on the trace (and
-//!   the cache geometry), so [`Processor::run_prepared`] shares them
-//!   between runs of one trace; [`Processor::run`] is a one-off
-//!   `run_prepared` on fresh state.
+//!   wakeup lists (built with the decode in one walk of the trace) and
+//!   the warmed caches depend only on the trace (and the cache
+//!   geometry), so [`Processor::run_prepared`] shares them between runs
+//!   of one trace; [`Processor::run`] takes the same path on fresh
+//!   state, with a hierarchy warmed for that run alone.
 //!
 //! The produced [`Metrics`] are **bit-identical** to the original loop:
 //! active cycles run the same commit/issue/fetch logic in the same
@@ -57,7 +58,7 @@ use crate::error::SimError;
 use crate::memsys::MemorySystem;
 use crate::metrics::Metrics;
 use crate::prepared::PreparedTrace;
-use mom3d_isa::{ExecClass, MemAccess, Opcode, Trace};
+use mom3d_isa::{ExecClass, Instruction, MemAccess, Opcode, Trace};
 use mom3d_mem::{BackendEntry, BackendRegistry};
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
@@ -147,43 +148,49 @@ pub(crate) struct DecodedProgram {
 }
 
 impl DecodedProgram {
-    pub(crate) fn decode(trace: &Trace) -> Self {
-        let mut ops = Vec::with_capacity(trace.len());
-        let mut mems = Vec::new();
-        let (mut first_3d, mut first_malformed) = (None, None);
-        for (index, i) in trace.iter().enumerate() {
-            let class = i.opcode.class();
-            if matches!(i.opcode, Opcode::DvLoad | Opcode::DvMov) && first_3d.is_none() {
-                first_3d = Some(index);
-            }
-            let is_mem = i.opcode.is_mem();
-            let mem = match i.mem {
-                Some(mem) if is_mem => {
-                    mems.push(mem);
-                    (mems.len() - 1) as u32
-                }
-                None if is_mem => {
-                    // Never simulated: `check` rejects the trace first.
-                    first_malformed.get_or_insert(index);
-                    NO_MEM
-                }
-                _ => NO_MEM,
-            };
-            ops.push(DecodedOp {
-                class,
-                is_mem,
-                is_store: i.opcode.is_store(),
-                is_3d: i.opcode == Opcode::DvLoad,
-                per_lane: class == ExecClass::Simd && i.opcode.is_vector(),
-                latency: i.opcode.base_latency(),
-                // Four lanes move 4 x 64 bit per cycle.
-                occupancy: if class == ExecClass::Mov3d { (i.vl as u32).div_ceil(4) } else { 1 },
-                vl: i.vl,
-                mem,
-                packed_ops: i.packed_ops(),
-            });
+    /// An empty program with room for a trace of `n` instructions.
+    pub(crate) fn with_capacity(n: usize) -> Self {
+        DecodedProgram {
+            ops: Vec::with_capacity(n),
+            mems: Vec::new(),
+            first_3d: None,
+            first_malformed: None,
         }
-        DecodedProgram { ops, mems, first_3d, first_malformed }
+    }
+
+    /// Decodes the trace's next instruction.
+    pub(crate) fn push(&mut self, i: &Instruction) {
+        let index = self.ops.len();
+        let class = i.opcode.class();
+        if matches!(i.opcode, Opcode::DvLoad | Opcode::DvMov) && self.first_3d.is_none() {
+            self.first_3d = Some(index);
+        }
+        let is_mem = i.opcode.is_mem();
+        let mem = match i.mem {
+            Some(mem) if is_mem => {
+                self.mems.push(mem);
+                (self.mems.len() - 1) as u32
+            }
+            None if is_mem => {
+                // Never simulated: `check` rejects the trace first.
+                self.first_malformed.get_or_insert(index);
+                NO_MEM
+            }
+            _ => NO_MEM,
+        };
+        self.ops.push(DecodedOp {
+            class,
+            is_mem,
+            is_store: i.opcode.is_store(),
+            is_3d: i.opcode == Opcode::DvLoad,
+            per_lane: class == ExecClass::Simd && i.opcode.is_vector(),
+            latency: i.opcode.base_latency(),
+            // Four lanes move 4 x 64 bit per cycle.
+            occupancy: if class == ExecClass::Mov3d { (i.vl as u32).div_ceil(4) } else { 1 },
+            vl: i.vl,
+            mem,
+            packed_ops: i.packed_ops(),
+        });
     }
 
     /// Validates the trace for a backend with or without the 3D
@@ -247,8 +254,9 @@ impl Processor {
         &self.config
     }
 
-    /// Simulates `trace` to completion: [`Processor::run_prepared`] on a
-    /// [`PreparedTrace`] of its own.
+    /// Simulates `trace` to completion on a [`PreparedTrace`] of its own,
+    /// warming a hierarchy for this run alone: the run's memory system
+    /// owns it, and nothing keeps a copy.
     ///
     /// # Errors
     ///
@@ -261,33 +269,45 @@ impl Processor {
     /// register file, or [`SimError::Malformed`] for memory opcodes
     /// without descriptors.
     pub fn run(&self, trace: &Trace) -> Result<Metrics, SimError> {
-        self.run_prepared(&PreparedTrace::new(trace))
+        self.run_on(&PreparedTrace::new(trace), false)
     }
 
-    /// Simulates the prepared trace to completion, taking its decode,
-    /// dependence graph and warmed caches from `prepared` (built on the
-    /// first run that needs them). The [`Metrics`] do not depend on
-    /// which runs shared `prepared` before, or on their order.
+    /// Simulates the prepared trace to completion, taking its decode and
+    /// wakeup lists from `prepared`, and a copy of the hierarchy it
+    /// warmed for this geometry (warmed by the first run that needs
+    /// it). The [`Metrics`] do not depend on which runs shared
+    /// `prepared` before, or on their order.
     ///
     /// # Errors
     ///
     /// As [`Processor::run`].
     pub fn run_prepared(&self, prepared: &PreparedTrace<'_>) -> Result<Metrics, SimError> {
+        self.run_on(prepared, true)
+    }
+
+    /// [`Processor::run`] and [`Processor::run_prepared`]: a warmed
+    /// hierarchy comes from `prepared`'s shared copies when `shared`,
+    /// and is warmed for this run alone otherwise.
+    fn run_on(&self, prepared: &PreparedTrace<'_>, shared: bool) -> Result<Metrics, SimError> {
         let cfg = &self.config;
         cfg.validate()?;
         let backend = BackendRegistry::get(cfg.memory.as_str())
             .ok_or_else(|| SimError::UnknownBackend { id: cfg.memory.as_str().to_string() })?;
         let prog = prepared.program();
         prog.check(backend.has_3d)?;
-        let wake = prepared.wakeup_lists();
         // An ideal backend never consults the hierarchy, so it is not
         // warmed either.
         let memsys = if cfg.warm_caches && !backend.is_ideal {
-            MemorySystem::with_hierarchy(cfg, prepared.warmed_hierarchy(cfg.hierarchy))
+            let hierarchy = if shared {
+                prepared.warmed_hierarchy(cfg.hierarchy)
+            } else {
+                prepared.warm(cfg.hierarchy)
+            };
+            MemorySystem::with_hierarchy(cfg, hierarchy)
         } else {
             MemorySystem::new(cfg)
         };
-        Ok(self.simulate(prog, wake, memsys, &backend))
+        Ok(self.simulate(prog, prepared.wakeup_lists(), memsys, &backend))
     }
 
     /// The timing loop proper, over a validated and decoded trace, its
@@ -1254,6 +1274,39 @@ mod tests {
         let new = p.run(&trace).unwrap();
         let old = p.run_legacy(&trace).unwrap();
         assert_eq!(new, old, "zero-latency loads must not delay their consumers");
+    }
+
+    /// A zero-latency load wakes its consumer `C`, another load, in the
+    /// load's own issue cycle while `Y`, a younger load that is ready,
+    /// waits in the scalar memory ready list. `C` must be spliced in
+    /// ahead of `Y`: with two memory issues a cycle, `C` issues in that
+    /// very cycle, and so does the 40-op integer chain that its result
+    /// feeds, one op a cycle. Appending `C` at the back of its list lets
+    /// `Y` take the last memory issue, which delays `C` and the chain
+    /// by a cycle and changes `cycles`.
+    #[test]
+    fn a_same_cycle_wakeup_is_spliced_ahead_of_younger_ready_entries() {
+        let mut cfg = ProcessorConfig::mom()
+            .with_memory(MemorySystemKind::VectorCache)
+            .with_warm_caches(true);
+        cfg.hierarchy.l1_latency = 0;
+        cfg.mem_issue = 2;
+        let mut tb = TraceBuilder::new();
+        // The base register is never written, so the first load has no
+        // producer and is ready as soon as it is fetched, as is `Y`.
+        let d = tb.load_scalar(Gpr::new(2), Gpr::new(1), 0x1000, 8);
+        let c = tb.load_scalar(Gpr::new(3), d, 0x1000, 8); // C
+        tb.load_scalar(Gpr::new(4), Gpr::new(1), 0x1008, 8); // Y
+        for _ in 0..40 {
+            tb.alui(IntOp::Add, c, c, 1);
+        }
+        let trace = tb.finish();
+        let p = Processor::new(cfg);
+        let m = p.run(&trace).unwrap();
+        assert_eq!(m, p.run_legacy(&trace).unwrap());
+        // Both loads and the chain's first op issue in cycle 1, its
+        // 40th op in cycle 40; that commits in cycle 41.
+        assert_eq!(m.cycles, 42, "{m:?}");
     }
 
     #[test]

@@ -1,62 +1,70 @@
 //! Per-trace simulator state, built once and shared by every run that
 //! replays the trace.
 
-use crate::depgraph::{DepGraph, WakeupLists};
+use crate::depgraph::{WakeupBuilder, WakeupLists};
 use crate::memsys::warm;
 use crate::pipeline::DecodedProgram;
 use mom3d_isa::Trace;
 use mom3d_mem::{HierarchyConfig, LineSet, MemHierarchy};
-use std::sync::{Mutex, OnceLock};
+use std::sync::Mutex;
 
 /// The part of simulating a trace that no processor timing changes,
-/// built lazily by the first [`crate::Processor::run_prepared`] call
-/// that needs it and then shared by every later one, across threads
-/// too:
+/// built once and shared by every [`crate::Processor::run_prepared`]
+/// call on it, across threads too:
 ///
 /// * the decoded program: the per-instruction records the issue loop
 ///   reads, and the first 3D opcode and first memory opcode without a
 ///   descriptor, which validate the trace against any backend;
-/// * the inverted dependence graph ([`WakeupLists`]), which depends
-///   only on the trace;
-/// * one warmed cache hierarchy per L1/L2 geometry. Warming depends
-///   only on the trace and the geometry, never on latencies, so each
-///   run clones the warmed hierarchy and re-times it to its own
-///   latencies ([`MemHierarchy::retime`]).
+/// * the wakeup lists ([`WakeupLists`]), which depend only on the
+///   trace. [`PreparedTrace::new`] builds both in one walk of the trace;
+/// * one warmed cache hierarchy per L1/L2 geometry, warmed by the first
+///   run that needs it. Warming depends only on the trace and the
+///   geometry, never on latencies, so each run clones the warmed
+///   hierarchy and re-times it to its own latencies
+///   ([`MemHierarchy::retime`]).
 ///
 /// It holds an edge per dependence and a full tag array per geometry, so
 /// drop it once the trace's last run is done.
 #[derive(Debug)]
 pub struct PreparedTrace<'t> {
     trace: &'t Trace,
-    program: OnceLock<DecodedProgram>,
-    wake: OnceLock<WakeupLists>,
+    program: DecodedProgram,
+    wake: WakeupLists,
     warmed: Mutex<Vec<MemHierarchy>>,
 }
 
 impl<'t> PreparedTrace<'t> {
-    /// Wraps `trace`; nothing is built until a run needs it.
+    /// Decodes `trace` and builds its wakeup lists, in one walk of it.
     pub fn new(trace: &'t Trace) -> Self {
-        PreparedTrace {
-            trace,
-            program: OnceLock::new(),
-            wake: OnceLock::new(),
-            warmed: Mutex::new(Vec::new()),
+        let mut program = DecodedProgram::with_capacity(trace.len());
+        let mut wake = WakeupBuilder::with_capacity(trace.len());
+        for instr in trace.iter() {
+            program.push(instr);
+            wake.push(instr);
         }
+        PreparedTrace { trace, program, wake: wake.finish(), warmed: Mutex::new(Vec::new()) }
     }
 
     /// The trace's decoded program and validation facts.
     pub(crate) fn program(&self) -> &DecodedProgram {
-        self.program.get_or_init(|| DecodedProgram::decode(self.trace))
+        &self.program
     }
 
     /// The trace's wakeup lists.
     pub(crate) fn wakeup_lists(&self) -> &WakeupLists {
-        self.wake.get_or_init(|| DepGraph::build(self.trace).invert())
+        &self.wake
+    }
+
+    /// A hierarchy built from `config` and warmed by the trace.
+    pub(crate) fn warm(&self, config: HierarchyConfig) -> MemHierarchy {
+        let mut h = MemHierarchy::new(config);
+        warm(&mut h, self.trace, &mut Vec::new(), &mut LineSet::new());
+        h
     }
 
     /// A copy of the hierarchy this trace warmed under `config`'s
-    /// geometry, re-timed to `config`'s latencies: equal to a fresh
-    /// hierarchy built from `config` and warmed by the trace.
+    /// geometry, re-timed to `config`'s latencies: equal to
+    /// [`PreparedTrace::warm`] of `config`.
     pub(crate) fn warmed_hierarchy(&self, config: HierarchyConfig) -> MemHierarchy {
         let mut warmed = self.warmed.lock().expect("warmed hierarchies poisoned");
         let same_geometry =
@@ -64,9 +72,7 @@ impl<'t> PreparedTrace<'t> {
         let i = match warmed.iter().position(same_geometry) {
             Some(i) => i,
             None => {
-                let mut h = MemHierarchy::new(config);
-                warm(&mut h, self.trace, &mut Vec::new(), &mut LineSet::new());
-                warmed.push(h);
+                warmed.push(self.warm(config));
                 warmed.len() - 1
             }
         };

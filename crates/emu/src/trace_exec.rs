@@ -7,12 +7,12 @@
 //! (the fused scalar-pair handler consumes two), or the interpreter's
 //! exact [`EmuError`] for the instruction at its original trace index.
 //!
-//! Memory goes through `mom3d-mem`'s page-batched accessors (one page
-//! lookup per word or per page-sized chunk instead of one per byte),
-//! which are pinned bit-identical to the per-byte paths the interpreter
-//! oracle uses. Vector addresses still come from
-//! `MemAccess::block_addr`, so out-of-range element indices panic with
-//! the interpreter's message.
+//! Memory goes through `mom3d-mem`'s single-lookup word accessors and
+//! its page-run copies (one page lookup per word or per page-sized
+//! chunk instead of one per byte), which `mom3d-mem`'s equivalence
+//! tests pin bit-identical to per-byte reference paths. Vector
+//! addresses still come from `MemAccess::block_addr`, so out-of-range
+//! element indices panic with the interpreter's message.
 
 use crate::decode::{
     DecodedTrace, OpRec, DST_GPR, DST_MMX, KIND_COUNT, NO_MEM, NO_REG, SRC_ACC, SRC_GPR, SRC_IMM,
@@ -149,7 +149,7 @@ fn h_load_scalar(c: &mut Ctx, ops: &[OpRec], i: usize) -> Result<usize, EmuError
     let o = &ops[i];
     let mem = &c.mems[o.aux as usize];
     let mut buf = [0u8; 8];
-    c.m.mem.read_paged(mem.base, &mut buf[..mem.elem_bytes as usize]);
+    c.m.mem.read_into(mem.base, &mut buf[..mem.elem_bytes as usize]);
     c.m.set_gpr(Gpr::new(o.dst), u64::from_le_bytes(buf));
     Ok(1)
 }
@@ -158,7 +158,7 @@ fn h_store_scalar(c: &mut Ctx, ops: &[OpRec], i: usize) -> Result<usize, EmuErro
     let o = &ops[i];
     let mem = &c.mems[o.aux as usize];
     let bytes = c.m.gpr(Gpr::new(o.src1)).to_le_bytes();
-    c.m.mem.write_paged(mem.base, &bytes[..mem.elem_bytes as usize]);
+    c.m.mem.write_bytes(mem.base, &bytes[..mem.elem_bytes as usize]);
     Ok(1)
 }
 
@@ -319,7 +319,7 @@ fn h_dvload(c: &mut Ctx, ops: &[OpRec], i: usize) -> Result<usize, EmuError> {
     }
     for (e, block) in c.blocks[..vl].iter_mut().enumerate() {
         block.resize(mem.elem_bytes as usize, 0);
-        c.m.mem.read_paged(mem.block_addr(e), block);
+        c.m.mem.read_into(mem.block_addr(e), block);
     }
     c.m.dfile_mut().load(dst, &c.blocks[..vl], o.imm != 0);
     Ok(1)

@@ -79,20 +79,41 @@ impl MainMemory {
 
     /// Reads `len` bytes starting at `addr`.
     pub fn read_bytes(&self, addr: u64, len: usize) -> Vec<u8> {
-        (0..len as u64).map(|i| self.read_u8(addr + i)).collect()
+        let mut bytes = vec![0; len];
+        self.read_into(addr, &mut bytes);
+        bytes
     }
 
-    /// Reads `len` bytes into `buf`.
+    /// Reads `buf.len()` bytes starting at `addr` into `buf`, one page
+    /// lookup and one copy per page touched.
     pub fn read_into(&self, addr: u64, buf: &mut [u8]) {
-        for (i, b) in buf.iter_mut().enumerate() {
-            *b = self.read_u8(addr + i as u64);
+        let mut done = 0usize;
+        while done < buf.len() {
+            let a = addr + done as u64;
+            let off = (a as usize) & (PAGE_SIZE - 1);
+            let chunk = (PAGE_SIZE - off).min(buf.len() - done);
+            match self.pages.get(&(a >> PAGE_SHIFT)) {
+                Some(p) => buf[done..done + chunk].copy_from_slice(&p[off..off + chunk]),
+                None => buf[done..done + chunk].fill(0),
+            }
+            done += chunk;
         }
     }
 
-    /// Writes a byte slice starting at `addr`.
+    /// Writes a byte slice starting at `addr`, one page lookup and one
+    /// copy per page touched; every touched page becomes resident.
     pub fn write_bytes(&mut self, addr: u64, bytes: &[u8]) {
-        for (i, b) in bytes.iter().enumerate() {
-            self.write_u8(addr + i as u64, *b);
+        let mut done = 0usize;
+        while done < bytes.len() {
+            let a = addr + done as u64;
+            let off = (a as usize) & (PAGE_SIZE - 1);
+            let chunk = (PAGE_SIZE - off).min(bytes.len() - done);
+            let page = self
+                .pages
+                .entry(a >> PAGE_SHIFT)
+                .or_insert_with(|| Box::new([0u8; PAGE_SIZE]));
+            page[off..off + chunk].copy_from_slice(&bytes[done..done + chunk]);
+            done += chunk;
         }
     }
 
@@ -156,14 +177,10 @@ impl MainMemory {
         }
     }
 
-    // ---- page-batched accessors -----------------------------------------
+    // ---- single-lookup words --------------------------------------------
     //
-    // The byte-at-a-time paths above pay one page-table lookup per byte;
-    // callers that know their access geometry up front (the trace-
-    // specializing emulator) use these instead: one lookup per page
-    // touched, bit-identical results. The per-byte paths are kept
-    // untouched — they are the reference the batched paths are pinned
-    // against.
+    // The trace-specializing emulator reads and writes most words within
+    // one page; these skip the chunk loop of `read_into`/`write_bytes`.
 
     /// Reads a little-endian `u64` with a single page lookup when the
     /// word lies within one page (falls back to [`MainMemory::read_u64`]
@@ -195,39 +212,6 @@ impl MainMemory {
             page[off..off + 8].copy_from_slice(&value.to_le_bytes());
         } else {
             self.write_u64(addr, value);
-        }
-    }
-
-    /// Fills `buf` from `addr` with one page lookup per page touched —
-    /// the batched counterpart of [`MainMemory::read_into`].
-    pub fn read_paged(&self, addr: u64, buf: &mut [u8]) {
-        let mut done = 0usize;
-        while done < buf.len() {
-            let a = addr + done as u64;
-            let off = (a as usize) & (PAGE_SIZE - 1);
-            let chunk = (PAGE_SIZE - off).min(buf.len() - done);
-            match self.pages.get(&(a >> PAGE_SHIFT)) {
-                Some(p) => buf[done..done + chunk].copy_from_slice(&p[off..off + chunk]),
-                None => buf[done..done + chunk].fill(0),
-            }
-            done += chunk;
-        }
-    }
-
-    /// Writes `bytes` starting at `addr` with one page lookup per page
-    /// touched — the batched counterpart of [`MainMemory::write_bytes`].
-    pub fn write_paged(&mut self, addr: u64, bytes: &[u8]) {
-        let mut done = 0usize;
-        while done < bytes.len() {
-            let a = addr + done as u64;
-            let off = (a as usize) & (PAGE_SIZE - 1);
-            let chunk = (PAGE_SIZE - off).min(bytes.len() - done);
-            let page = self
-                .pages
-                .entry(a >> PAGE_SHIFT)
-                .or_insert_with(|| Box::new([0u8; PAGE_SIZE]));
-            page[off..off + chunk].copy_from_slice(&bytes[done..done + chunk]);
-            done += chunk;
         }
     }
 }
@@ -321,36 +305,111 @@ mod tests {
         }
         // Within a page, straddling the page boundary, and on absent pages.
         for addr in [0x1000, 0x1ffc, 0x1000 + PAGE_SIZE as u64 - 4, 0x9_0000] {
-            assert_eq!(m.read_u64_paged(addr), m.read_u64(addr), "read at {addr:#x}");
+            let mut bytes = [0u8; 8];
+            m.read_into_per_byte(addr, &mut bytes);
+            assert_eq!(m.read_u64_paged(addr), u64::from_le_bytes(bytes), "read at {addr:#x}");
         }
         let mut a = m.clone();
         let mut b = m.clone();
         for (i, addr) in [0x1008u64, 0x1000 + PAGE_SIZE as u64 - 3, 0xA_0000].iter().enumerate() {
-            a.write_u64(*addr, 0x1122_3344_5566_7788 * (i as u64 + 1));
-            b.write_u64_paged(*addr, 0x1122_3344_5566_7788 * (i as u64 + 1));
+            let value = 0x1122_3344_5566_7788 * (i as u64 + 1);
+            a.write_bytes_per_byte(*addr, &value.to_le_bytes());
+            b.write_u64_paged(*addr, value);
         }
-        assert_eq!(a, b, "batched u64 writes must be bit-identical");
+        assert_eq!(a, b, "single-lookup u64 writes must be bit-identical");
     }
 
+    /// A range that runs past the last byte of the address space fares
+    /// as under the per-byte reference: with overflow checks (debug
+    /// builds) both panic, without them both wrap to address 0.
     #[test]
-    fn paged_block_matches_per_byte_across_pages() {
-        let mut m = MainMemory::new();
-        for i in 0..PAGE_SIZE as u64 {
-            m.write_u8(0x2000 + i, i as u8);
+    fn a_range_past_the_top_of_the_address_space_matches_the_reference() {
+        use std::panic::{catch_unwind, AssertUnwindSafe};
+        let payload = [1u8, 2, 3, 4, 5, 6];
+        let mut fast = MainMemory::new();
+        let mut slow = MainMemory::new();
+        let wrote = catch_unwind(AssertUnwindSafe(|| fast.write_bytes(u64::MAX - 2, &payload)));
+        let wrote_ref =
+            catch_unwind(AssertUnwindSafe(|| slow.write_bytes_per_byte(u64::MAX - 2, &payload)));
+        assert_eq!(wrote.is_ok(), wrote_ref.is_ok());
+        assert_eq!(wrote.is_ok(), !cfg!(debug_assertions));
+        if wrote.is_ok() {
+            assert_eq!(fast, slow);
+            assert_eq!(fast.read_bytes(u64::MAX - 2, 6), payload);
+            assert_eq!(fast.read_bytes(0, 3), [4, 5, 6], "the range continued at address 0");
         }
-        // A read spanning resident and absent pages.
-        let base = 0x2000 + PAGE_SIZE as u64 - 100;
-        let mut fast = vec![0u8; 300];
-        m.read_paged(base, &mut fast);
-        assert_eq!(fast, m.read_bytes(base, 300));
+    }
 
-        let payload: Vec<u8> = (0..300).map(|i| (i % 7) as u8).collect();
-        let mut a = m.clone();
-        let mut b = m.clone();
-        a.write_bytes(base, &payload);
-        b.write_paged(base, &payload);
-        assert_eq!(a, b, "batched block writes must be bit-identical");
-        // Writes materialize pages exactly like the per-byte path.
-        assert_eq!(a.resident_pages(), b.resident_pages());
+    /// The per-byte paths `read_into`, `read_bytes` and `write_bytes`
+    /// took before they copied page-sized runs: one page lookup per byte.
+    impl MainMemory {
+        fn read_into_per_byte(&self, addr: u64, buf: &mut [u8]) {
+            for (i, b) in buf.iter_mut().enumerate() {
+                *b = self.read_u8(addr + i as u64);
+            }
+        }
+
+        fn write_bytes_per_byte(&mut self, addr: u64, bytes: &[u8]) {
+            for (i, b) in bytes.iter().enumerate() {
+                self.write_u8(addr + i as u64, *b);
+            }
+        }
+    }
+
+    mod equivalence {
+        use super::*;
+        use proptest::prelude::*;
+
+        /// A byte range: anywhere in four pages around `0x10_0000`
+        /// (within one page, across pages, on resident and absent pages,
+        /// empty), or ending at most 15 bytes below the last byte of the
+        /// address space, often exactly at it.
+        fn arb_range() -> impl Strategy<Value = (u64, usize)> {
+            prop_oneof![
+                (0u64..4 * PAGE_SIZE as u64, 0usize..2 * PAGE_SIZE + 2)
+                    .prop_map(|(off, len)| (0x10_0000 + off, len)),
+                (any::<bool>(), 0u64..16, 1usize..2 * PAGE_SIZE + 2).prop_map(
+                    |(at_top, gap, len)| {
+                        let gap = if at_top { 0 } else { gap };
+                        (u64::MAX - (len as u64 - 1) - gap, len)
+                    }
+                ),
+            ]
+        }
+
+        proptest! {
+            /// Over memories with some resident pages, near the bottom
+            /// and the top of the address space, the page-sized copies
+            /// of `read_into`, `read_bytes` and `write_bytes` read what
+            /// the per-byte paths read and leave the memory (its
+            /// resident pages included) as they leave it.
+            #[test]
+            fn page_copies_match_per_byte_paths(
+                resident in proptest::collection::vec((any::<bool>(), 0u64..4), 0..4),
+                fill in any::<u8>(),
+                ops in proptest::collection::vec((arb_range(), any::<u8>()), 1..8),
+            ) {
+                let mut base = MainMemory::new();
+                for (top, page) in resident {
+                    let first = if top { u64::MAX - 4 * PAGE_SIZE as u64 + 1 } else { 0x10_0000 };
+                    let at = first + page * PAGE_SIZE as u64;
+                    base.write_page(at, &[fill; PAGE_SIZE]);
+                }
+                let (mut fast, mut slow) = (base.clone(), base);
+                for ((addr, len), seed) in ops {
+                    let mut expected = vec![0xAA; len];
+                    slow.read_into_per_byte(addr, &mut expected);
+                    let mut got = vec![0x55; len];
+                    fast.read_into(addr, &mut got);
+                    prop_assert_eq!(&got, &expected, "read_into at {:#x}+{}", addr, len);
+                    prop_assert_eq!(fast.read_bytes(addr, len), expected);
+                    let payload: Vec<u8> =
+                        (0..len).map(|i| seed.wrapping_add(i as u8)).collect();
+                    fast.write_bytes(addr, &payload);
+                    slow.write_bytes_per_byte(addr, &payload);
+                    prop_assert_eq!(&fast, &slow, "write_bytes at {:#x}+{}", addr, len);
+                }
+            }
+        }
     }
 }
