@@ -7,12 +7,24 @@
 //!   latency-tolerance results imply a bound; we default to 4).
 //!
 //! Run on the most memory-bound workload (mpeg2 encode) for MOM and
-//! MOM+3D.
+//! MOM+3D. Each of the three traces (MOM, MOM+3D and the shift&mask
+//! trick) is prepared once and every configuration runs on it.
 
 use mom3d_bench::{runner_from_args, sweep};
-use mom3d_cpu::{BackendRegistry, MemorySystemKind, Processor, ProcessorConfig};
-use mom3d_kernels::{IsaVariant, Workload, WorkloadKind};
+use mom3d_cpu::{
+    BackendId, BackendRegistry, MemorySystemKind, Metrics, PreparedTrace, Processor,
+    ProcessorConfig,
+};
+use mom3d_kernels::{IsaVariant, WorkloadKind};
 use mom3d_mem::VectorCacheConfig;
+
+fn run(cfg: ProcessorConfig, trace: &PreparedTrace) -> Metrics {
+    Processor::new(cfg.with_warm_caches(true)).run_prepared(trace).unwrap()
+}
+
+fn on(mem: impl Into<BackendId>) -> ProcessorConfig {
+    ProcessorConfig::mom().with_memory(mem)
+}
 
 fn main() {
     let mut r = runner_from_args();
@@ -28,22 +40,24 @@ fn main() {
         ],
         sweep::threads_from_env(),
     );
-    let mom = r.workload_arc(WorkloadKind::Mpeg2Encode, IsaVariant::Mom);
-    let m3d = r.workload_arc(WorkloadKind::Mpeg2Encode, IsaVariant::Mom3d);
+    let mut prepare = |variant| {
+        PreparedTrace::new(r.workload_arc(WorkloadKind::Mpeg2Encode, variant).trace())
+    };
+    let (mom, m3d) = (prepare(IsaVariant::Mom), prepare(IsaVariant::Mom3d));
 
     println!("Ablation: vector cache width (mpeg2 encode, cycles)");
     println!("{:>12} {:>12} {:>12}", "width", "MOM", "MOM+3D");
     for width_words in [2usize, 4, 8] {
-        let run = |wl: &Workload, mem| {
-            let mut cfg = ProcessorConfig::mom().with_memory(mem).with_warm_caches(true);
+        let cycles = |trace, mem| {
+            let mut cfg = on(mem);
             cfg.vector_cache = VectorCacheConfig { width_words, line_bytes: 128 };
-            Processor::new(cfg).run(wl.trace()).unwrap().cycles
+            run(cfg, trace).cycles
         };
         println!(
             "{:>9}x64b {:>12} {:>12}",
             width_words,
-            run(&mom, MemorySystemKind::VectorCache),
-            run(&m3d, MemorySystemKind::VectorCache3d)
+            cycles(&mom, MemorySystemKind::VectorCache),
+            cycles(&m3d, MemorySystemKind::VectorCache3d)
         );
     }
     println!(
@@ -55,20 +69,17 @@ fn main() {
     println!("Ablation: outstanding vector transactions (mpeg2 encode, cycles)");
     println!("{:>12} {:>12} {:>12} {:>14} {:>14}", "buffers", "MOM@20", "MOM@60", "MOM+3D@20", "MOM+3D@60");
     for buffers in [1usize, 2, 4, 8] {
-        let run = |wl: &Workload, mem, l2| {
-            let mut cfg = ProcessorConfig::mom()
-                .with_memory(mem)
-                .with_l2_latency(l2)
-                .with_warm_caches(true);
+        let cycles = |trace, mem, l2| {
+            let mut cfg = on(mem).with_l2_latency(l2);
             cfg.vec_outstanding = buffers;
-            Processor::new(cfg).run(wl.trace()).unwrap().cycles
+            run(cfg, trace).cycles
         };
         println!(
             "{buffers:>12} {:>12} {:>12} {:>14} {:>14}",
-            run(&mom, MemorySystemKind::VectorCache, 20),
-            run(&mom, MemorySystemKind::VectorCache, 60),
-            run(&m3d, MemorySystemKind::VectorCache3d, 20),
-            run(&m3d, MemorySystemKind::VectorCache3d, 60)
+            cycles(&mom, MemorySystemKind::VectorCache, 20),
+            cycles(&mom, MemorySystemKind::VectorCache, 60),
+            cycles(&m3d, MemorySystemKind::VectorCache3d, 20),
+            cycles(&m3d, MemorySystemKind::VectorCache3d, 60)
         );
     }
     println!(
@@ -83,14 +94,10 @@ fn main() {
         &mom3d_kernels::Mpeg2EncodeParams::with_seed(seed),
     );
     trick.verify().unwrap();
-    let run = |wl: &Workload, mem| {
-        Processor::new(ProcessorConfig::mom().with_memory(mem).with_warm_caches(true))
-            .run(wl.trace())
-            .unwrap()
-    };
-    let m_plain = run(&mom, MemorySystemKind::VectorCache);
-    let m_trick = run(&trick, MemorySystemKind::VectorCache);
-    let m_3d = run(&m3d, MemorySystemKind::VectorCache3d);
+    let trick = PreparedTrace::new(trick.trace());
+    let m_plain = run(on(MemorySystemKind::VectorCache), &mom);
+    let m_trick = run(on(MemorySystemKind::VectorCache), &trick);
+    let m_3d = run(on(MemorySystemKind::VectorCache3d), &m3d);
     println!("Related work (§7): shift&mask register trick vs 3D (mpeg2 encode)");
     println!(
         "{:<22} {:>10} {:>12} {:>14} {:>12}",
@@ -123,12 +130,8 @@ fn main() {
     );
     for entry in BackendRegistry::entries() {
         // 3D-capable backends run the MOM+3D variant, others plain MOM.
-        let (wl, isa) = if entry.has_3d { (&m3d, "MOM+3D") } else { (&mom, "MOM") };
-        let m = Processor::new(
-            ProcessorConfig::mom().with_memory(entry.backend_id()).with_warm_caches(true),
-        )
-        .run(wl.trace())
-        .unwrap();
+        let (trace, isa) = if entry.has_3d { (&m3d, "MOM+3D") } else { (&mom, "MOM") };
+        let m = run(on(entry.backend_id()), trace);
         let rows = if m.dram_row_hits + m.dram_row_misses > 0 {
             format!("{}/{}", m.dram_row_hits, m.dram_row_misses)
         } else {

@@ -1,16 +1,17 @@
 //! A resident, coalescing memo table: `key → value` with single-flight
 //! computation.
 //!
-//! The simulation server keeps two of these alive for the life of the
-//! process — `SimKey → Metrics` and `(workload, variant) →
-//! Arc<Workload>` — so repeated requests are answered from memory and
-//! *identical in-flight* requests are deduplicated: the first requester
-//! claims the key and computes, every concurrent requester for the same
-//! key parks on a condvar and receives the same value when it is
-//! published. A claimant that fails (panicking simulation, dropped
-//! connection before enqueueing) un-claims the key so waiters retry or
-//! error out instead of hanging forever — the table can therefore never
-//! be wedged or corrupted by a misbehaving request.
+//! The cell service keeps one of these alive for the life of the
+//! process, `SimKey → Metrics`, so repeated requests are answered from
+//! memory and *identical in-flight* requests are deduplicated: the first
+//! requester claims the key and computes, every concurrent requester for
+//! the same key parks on a condvar and receives the same value when it
+//! is published. A claimant that fails (panicking simulation, dropped
+//! connection before enqueueing) un-claims the key with
+//! [`MemoTable::fail`] so waiters retry or error out instead of hanging
+//! forever — the table can therefore never be wedged or corrupted by a
+//! misbehaving request. (Workloads and prepared traces live in the
+//! service `Runner`'s per-trace store, not here.)
 //!
 //! The table is deliberately append-only (no eviction): a `SimKey`'s
 //! metrics are a pure function of the key, so entries never go stale,
@@ -278,38 +279,6 @@ impl<K: Eq + Hash + Copy, V: Clone> MemoTable<K, V> {
     }
 }
 
-/// Drop guard for a [`Schedule::Claimed`] claim: unless defused by
-/// [`ClaimGuard::publish`], dropping it abandons the claim — so a panic
-/// (or early return) between claiming and publishing can never park
-/// waiters forever.
-#[derive(Debug)]
-pub struct ClaimGuard<'a, K: Eq + Hash + Copy, V: Clone> {
-    table: &'a MemoTable<K, V>,
-    key: K,
-    armed: bool,
-}
-
-impl<'a, K: Eq + Hash + Copy, V: Clone> ClaimGuard<'a, K, V> {
-    /// Guards a fresh claim on `key`.
-    pub fn new(table: &'a MemoTable<K, V>, key: K) -> Self {
-        ClaimGuard { table, key, armed: true }
-    }
-
-    /// Publishes the value and defuses the guard.
-    pub fn publish(mut self, value: V) {
-        self.armed = false;
-        self.table.publish(self.key, value);
-    }
-}
-
-impl<K: Eq + Hash + Copy, V: Clone> Drop for ClaimGuard<'_, K, V> {
-    fn drop(&mut self) {
-        if self.armed {
-            self.table.fail(&self.key);
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -358,22 +327,6 @@ mod tests {
         t.publish(7, 49);
         assert_eq!(t.wait(&7), Ok(49));
         assert_eq!(t.stats().failed, 1);
-    }
-
-    #[test]
-    fn claim_guard_fails_on_panic_and_publishes_on_success() {
-        let t: MemoTable<u32, u64> = MemoTable::new();
-        assert_eq!(t.schedule(1), Schedule::Claimed);
-        let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            let _guard = ClaimGuard::new(&t, 1);
-            panic!("computation exploded");
-        }));
-        assert!(caught.is_err());
-        assert_eq!(t.wait(&1), Err(ComputeFailed), "panicked claim must be abandoned");
-
-        assert_eq!(t.schedule(1), Schedule::Claimed);
-        ClaimGuard::new(&t, 1).publish(11);
-        assert_eq!(t.wait(&1), Ok(11));
     }
 
     #[test]

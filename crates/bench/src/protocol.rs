@@ -13,12 +13,16 @@
 //!
 //! ```text
 //! offset  size  field
-//! 0       4     magic  = b"M3S1" (protocol version folded in)
+//! 0       4     magic  = b"M3S2" (protocol version folded in)
 //! 4       1     opcode
 //! 5       4     payload length (LE; at most MAX_FRAME_PAYLOAD)
 //! 9       n     payload
-//! 9+n     8     checksum64(payload) (LE)
+//! 9+n     8     checksum64(payload) ^ opcode·K (LE)
 //! ```
+//!
+//! The trailer mixes in the opcode (`K` is an odd constant), so a
+//! damaged opcode is caught like damaged payload: otherwise one flipped
+//! bit would turn a `PING` (`0x01`) into a `SHUTDOWN` (`0x05`).
 //!
 //! Frame-level damage (bad magic, oversized length, checksum mismatch)
 //! is unrecoverable — the receiver cannot re-synchronize the stream —
@@ -69,7 +73,7 @@ use std::path::PathBuf;
 use std::time::Duration;
 
 /// Magic bytes opening every frame; the digit is the protocol version.
-pub const PROTOCOL_MAGIC: [u8; 4] = *b"M3S1";
+pub const PROTOCOL_MAGIC: [u8; 4] = *b"M3S2";
 
 /// Upper bound on a frame's payload. Large enough for a maximal sweep
 /// response, small enough that an absurd length prefix (attack or
@@ -151,7 +155,7 @@ pub enum FrameError {
     BadMagic([u8; 4]),
     /// The length prefix exceeds [`MAX_FRAME_PAYLOAD`].
     Oversized(u32),
-    /// The payload checksum does not match.
+    /// The checksum trailer does not match the opcode and payload.
     Checksum,
     /// A read deadline expired ([`Stream::set_read_timeout`]). A
     /// timeout can strike mid-frame, so the stream is unsynchronized
@@ -186,6 +190,12 @@ pub struct Frame {
     pub payload: Vec<u8>,
 }
 
+/// The checksum trailer of a frame: the payload's checksum with the
+/// opcode mixed in (see the [module docs](self)).
+fn frame_checksum(opcode: u8, payload: &[u8]) -> u64 {
+    mom3d_emu::checksum64(payload) ^ u64::from(opcode).wrapping_mul(0x9e37_79b9_7f4a_7c15)
+}
+
 /// Writes one frame. Flushes, so a streamed result is visible to the
 /// peer immediately.
 ///
@@ -200,7 +210,7 @@ pub fn write_frame(w: &mut impl Write, opcode: u8, payload: &[u8]) -> io::Result
     buf.push(opcode);
     buf.extend_from_slice(&(payload.len() as u32).to_le_bytes());
     buf.extend_from_slice(payload);
-    buf.extend_from_slice(&mom3d_emu::checksum64(payload).to_le_bytes());
+    buf.extend_from_slice(&frame_checksum(opcode, payload).to_le_bytes());
     w.write_all(&buf)?;
     w.flush()
 }
@@ -250,7 +260,7 @@ fn read_frame_body(r: &mut impl Read, opcode: u8, len: u32) -> Result<Frame, Fra
     read_exact_or(r, &mut payload)?;
     let mut sum = [0u8; 8];
     read_exact_or(r, &mut sum)?;
-    if u64::from_le_bytes(sum) != mom3d_emu::checksum64(&payload) {
+    if u64::from_le_bytes(sum) != frame_checksum(opcode, &payload) {
         return Err(FrameError::Checksum);
     }
     Ok(Frame { opcode, payload })
@@ -1610,9 +1620,9 @@ mod tests {
         drop(writer);
     }
 
-    #[test]
-    fn requests_round_trip() {
-        let reqs = [
+    /// One value of every request variant.
+    fn requests() -> Vec<Request> {
+        vec![
             Request::Ping,
             Request::Sim(key()),
             Request::Sweep(vec![key(), SimKey { l2_latency: 40, ..key() }]),
@@ -1625,17 +1635,12 @@ mod tests {
                 metrics: Metrics { cycles: 9, l2_misses: 2, ..Default::default() },
             },
             Request::ShardFin { completed: 17 },
-        ];
-        for req in reqs {
-            let (opcode, payload) = req.encode();
-            let back = Request::decode(&Frame { opcode, payload }).unwrap();
-            assert_eq!(back, req);
-        }
+        ]
     }
 
-    #[test]
-    fn responses_round_trip() {
-        let resps = [
+    /// One value of every response variant (two of `SHARD_GRANT`).
+    fn responses() -> Vec<Response> {
+        vec![
             Response::Pong(Hello { seed: 7, small: true, threads: 4 }),
             Response::Result(CellReply {
                 key: key(),
@@ -1660,11 +1665,120 @@ mod tests {
             Response::Bye,
             Response::ShardGrant { seed: 11, small: false, cells: vec![key()] },
             Response::ShardGrant { seed: 11, small: true, cells: vec![] },
-        ];
-        for resp in resps {
-            let (opcode, payload) = resp.encode();
-            let back = Response::decode(&Frame { opcode, payload }).unwrap();
-            assert_eq!(back, resp);
+        ]
+    }
+
+    /// A decoded frame: as a request, or as a response.
+    type Decoded = (Result<Request, WireError>, Result<Response, WireError>);
+
+    /// `bytes` through the whole receive path: one frame read, then
+    /// decoded as a request and as a response. A panic anywhere fails
+    /// the calling test.
+    fn receive(bytes: &[u8]) -> Result<Decoded, FrameError> {
+        let frame = read_frame(&mut { bytes })?;
+        Ok((Request::decode(&frame), Response::decode(&frame)))
+    }
+
+    /// Every request and response variant, encoded as it goes on the
+    /// wire, with its value.
+    fn wire_frames() -> Vec<(Vec<u8>, Result<Request, Response>)> {
+        let wire = |(opcode, payload): (u8, Vec<u8>)| {
+            let mut bytes = Vec::new();
+            write_frame(&mut bytes, opcode, &payload).unwrap();
+            bytes
+        };
+        let reqs = requests().into_iter().map(|r| (wire(r.encode()), Ok(r)));
+        reqs.chain(responses().into_iter().map(|r| (wire(r.encode()), Err(r)))).collect()
+    }
+
+    /// Every request and response round-trips through the wire: an
+    /// undamaged frame decodes to the value that was encoded, and is a
+    /// typed error to the decoder of the other direction.
+    #[test]
+    fn undamaged_frames_decode_to_what_was_encoded() {
+        for (bytes, value) in wire_frames() {
+            let (req, resp) = receive(&bytes).expect("an undamaged frame reads");
+            match value {
+                Ok(r) => assert_eq!((req.unwrap(), resp.is_err()), (r, true)),
+                Err(r) => assert_eq!((req.is_err(), resp.unwrap()), (true, r)),
+            }
+        }
+    }
+
+    /// Every truncation of every variant's frame is a typed frame
+    /// error, never a panic or a short frame.
+    #[test]
+    fn every_truncated_frame_is_a_frame_error() {
+        for (bytes, value) in wire_frames() {
+            for cut in 0..bytes.len() {
+                assert!(receive(&bytes[..cut]).is_err(), "{value:?} cut to {cut} bytes");
+            }
+        }
+    }
+
+    /// Every single-bit flip of every variant's frame, header, opcode
+    /// and trailer included, is a typed frame or payload error.
+    #[test]
+    fn every_single_bit_flip_is_a_typed_error() {
+        for (bytes, value) in wire_frames() {
+            for bit in 0..8 * bytes.len() {
+                let mut damaged = bytes.clone();
+                damaged[bit / 8] ^= 1 << (bit % 8);
+                match receive(&damaged) {
+                    Err(_) => {}
+                    Ok((req, resp)) => assert!(
+                        req.is_err() && resp.is_err(),
+                        "{value:?} with bit {bit} flipped decodes to {req:?} / {resp:?}"
+                    ),
+                }
+            }
+        }
+    }
+
+    /// Version 1 of the trailer left the opcode unchecked, so one
+    /// flipped bit turned a `PING` into a `SHUTDOWN`.
+    #[test]
+    fn a_ping_with_a_flipped_opcode_bit_is_not_a_shutdown() {
+        let mut bytes = Vec::new();
+        write_frame(&mut bytes, OP_PING, &[]).unwrap();
+        bytes[4] ^= OP_PING ^ OP_SHUTDOWN;
+        assert!(matches!(receive(&bytes), Err(FrameError::Checksum)));
+    }
+
+    proptest::proptest! {
+        /// Arbitrary bytes, as a whole stream, behind a valid magic, and
+        /// as the payload of a well-checksummed frame with any opcode,
+        /// never panic the receive path: each is a frame error or a
+        /// decoded value or typed error.
+        #[test]
+        fn arbitrary_bytes_never_panic_the_receive_path(
+            bytes in proptest::collection::vec(proptest::prelude::any::<u8>(), 0..600),
+            opcode: u8,
+        ) {
+            let _ = receive(&bytes);
+            let _ = receive(&[&PROTOCOL_MAGIC[..], &bytes].concat());
+            let mut framed = Vec::new();
+            write_frame(&mut framed, opcode, &bytes).unwrap();
+            let _ = receive(&framed).expect("a well-formed frame reads");
+        }
+
+        /// A length prefix over the bound is rejected from the 9-byte
+        /// header alone: not one payload byte is read, so none is
+        /// allocated.
+        #[test]
+        fn an_oversized_length_is_rejected_before_the_payload(
+            len in (MAX_FRAME_PAYLOAD + 1)..=u32::MAX,
+            opcode: u8,
+            tail in proptest::collection::vec(proptest::prelude::any::<u8>(), 0..64),
+        ) {
+            let mut bytes = PROTOCOL_MAGIC.to_vec();
+            bytes.push(opcode);
+            bytes.extend_from_slice(&len.to_le_bytes());
+            bytes.extend_from_slice(&tail);
+            let mut rest = &bytes[..];
+            let err = read_frame(&mut rest).expect_err("an oversized frame");
+            proptest::prop_assert!(matches!(err, FrameError::Oversized(n) if n == len));
+            proptest::prop_assert_eq!(rest.len(), tail.len(), "only the header was read");
         }
     }
 

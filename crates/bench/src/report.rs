@@ -349,8 +349,8 @@ pub fn table1(r: &mut Runner) -> Table1 {
     let rows = WORKLOADS
         .iter()
         .map(|&kind| {
-            let s2 = r.workload(kind, IsaVariant::Mom).trace().stats();
-            let s3 = r.workload(kind, IsaVariant::Mom3d).trace().stats();
+            let s2 = r.workload_arc(kind, IsaVariant::Mom).trace().stats();
+            let s3 = r.workload_arc(kind, IsaVariant::Mom3d).trace().stats();
             (
                 kind,
                 (s2.avg_dim1(), s2.avg_dim2()),

@@ -1,12 +1,14 @@
-//! Workload + simulation cache shared by the experiment binaries.
+//! Workload + simulation cache shared by the experiment binaries, and
+//! the per-trace store every simulated cell takes its state from.
 
 use crate::cache::WorkloadCache;
-use mom3d_cpu::{BackendId, Metrics, PreparedTrace, Processor, ProcessorConfig, SimError};
+use mom3d_cpu::{BackendId, Metrics, PreparedTrace, Processor, ProcessorConfig};
 #[cfg(test)]
 use mom3d_cpu::MemorySystemKind;
 use mom3d_kernels::{ImageKey, IsaVariant, Workload, WorkloadKind};
 use std::collections::HashMap;
-use std::sync::Arc;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError, Weak};
 use std::time::{Duration, Instant};
 
 /// Wall-clock phase breakdown of preparing one workload: trace
@@ -55,20 +57,109 @@ impl SimKey {
     }
 }
 
+/// A trace's identity: the workload and the ISA variant it was
+/// generated for.
+pub(crate) type TraceId = (WorkloadKind, IsaVariant);
+
+/// The trace a worker last simulated, with its prepared state, kept
+/// while the worker has more cells of it ([`Runner::simulate_held`]).
+pub(crate) type Held = Option<(TraceId, Arc<PreparedTrace>)>;
+
+/// One trace's entry in the [`Store`].
+#[derive(Debug, Default)]
+struct Slot {
+    /// The verified workload and its build/verify wall-clock, resident
+    /// from its load or build for the runner's life.
+    workload: Option<(Arc<Workload>, WorkloadTiming)>,
+    /// The trace's prepared state, alive while some worker holds it.
+    prepared: Weak<PreparedTrace>,
+    /// A thread is loading or building the workload, or preparing the
+    /// trace; everyone else who needs that waits for it.
+    busy: bool,
+}
+
+/// The runner's per-trace store: one [`Slot`] per trace, each filled by
+/// one thread at a time.
+#[derive(Debug, Default)]
+struct Store {
+    slots: Mutex<HashMap<TraceId, Slot>>,
+    /// Notified whenever a slot stops being busy.
+    idle: Condvar,
+    /// Workloads loaded or built.
+    loads: AtomicU64,
+}
+
+/// A thread's claim on a busy slot. Dropping it, after the work or
+/// while unwinding from a panic in it, marks the slot idle and wakes
+/// its waiters, who then find what the claimant stored, or claim the
+/// slot themselves: a failed build is retried, never waited on forever.
+struct Claim<'a> {
+    store: &'a Store,
+    id: TraceId,
+}
+
+impl Drop for Claim<'_> {
+    fn drop(&mut self) {
+        // Every update under this lock is one field store, so a poisoned
+        // table is still consistent.
+        let mut slots = self.store.slots.lock().unwrap_or_else(PoisonError::into_inner);
+        if let Some(slot) = slots.get_mut(&self.id) {
+            slot.busy = false;
+        }
+        drop(slots);
+        self.store.idle.notify_all();
+    }
+}
+
+impl Store {
+    fn lock(&self) -> MutexGuard<'_, HashMap<TraceId, Slot>> {
+        self.slots.lock().expect("trace store poisoned")
+    }
+
+    /// What `found` finds in `id`'s slot, waiting while another thread
+    /// works on the slot. When it finds nothing and nobody works on the
+    /// slot, the caller claims it instead.
+    fn find_or_claim<T>(
+        &self,
+        id: TraceId,
+        found: impl Fn(&Slot) -> Option<T>,
+    ) -> Result<T, Claim<'_>> {
+        let mut slots = self.lock();
+        loop {
+            let slot = slots.entry(id).or_default();
+            if let Some(t) = found(slot) {
+                return Ok(t);
+            }
+            if !slot.busy {
+                slot.busy = true;
+                return Err(Claim { store: self, id });
+            }
+            slots = self.idle.wait(slots).expect("trace store poisoned");
+        }
+    }
+}
+
 /// Builds workloads (verifying each against its scalar reference) and
 /// runs timing simulations, caching both so that figures sharing
 /// configurations do not recompute them.
 ///
-/// Workloads are stored behind [`Arc`] so the parallel sweep engine can
-/// hand the same verified trace to several worker threads without
-/// cloning it.
+/// Its per-trace store is the one place per-trace state lives, and it
+/// works through `&self`, so the sweep workers, shard workers and
+/// service threads share it:
+///
+/// * each workload is loaded from the image cache, or built and
+///   verified, exactly once, and stays resident behind an [`Arc`] for
+///   the runner's life;
+/// * each trace is prepared ([`PreparedTrace`]) by one thread while
+///   every other thread that asks for it waits. The store keeps only a
+///   weak handle: the workers that have cells of the trace hold it, and
+///   the last of them to move on frees it.
 #[derive(Debug, Default)]
 pub struct Runner {
     seed: u64,
     small: bool,
     cache: Option<WorkloadCache>,
-    workloads: HashMap<(WorkloadKind, IsaVariant), Arc<Workload>>,
-    timings: HashMap<(WorkloadKind, IsaVariant), WorkloadTiming>,
+    store: Store,
     sims: HashMap<SimKey, Metrics>,
 }
 
@@ -113,36 +204,6 @@ impl Runner {
         ImageKey { kind, variant, seed: self.seed, small: self.small }
     }
 
-    /// Builds and verifies one workload for this runner's seed/geometry
-    /// without touching the cache (the sweep engine builds off-thread
-    /// and inserts the results afterwards).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the workload fails to build or fails verification
-    /// against its scalar reference — a harness that times broken traces
-    /// would be meaningless.
-    pub fn build_workload(&self, kind: WorkloadKind, variant: IsaVariant) -> Workload {
-        self.build_workload_timed(kind, variant).0
-    }
-
-    /// Like [`Runner::build_workload`], but also reports how long the
-    /// build and verification phases took (what the sweep engine records
-    /// into `BENCH_sweep.json`).
-    ///
-    /// # Panics
-    ///
-    /// See [`Runner::build_workload`].
-    pub fn build_workload_timed(
-        &self,
-        kind: WorkloadKind,
-        variant: IsaVariant,
-    ) -> (Workload, WorkloadTiming) {
-        let (wl, build) = self.build_workload_unverified(kind, variant);
-        let (_digest, verify) = verify_timed(&wl);
-        (wl, WorkloadTiming { build, verify })
-    }
-
     /// The build phase alone — code generation without verification
     /// (what a caller timing build and verify apart runs first).
     ///
@@ -177,7 +238,9 @@ impl Runner {
     ///
     /// # Panics
     ///
-    /// See [`Runner::build_workload`].
+    /// Panics if the workload fails to build or fails verification
+    /// against its scalar reference — a harness that times broken traces
+    /// would be meaningless.
     pub fn load_or_build(
         &self,
         kind: WorkloadKind,
@@ -198,69 +261,111 @@ impl Runner {
         (wl, WorkloadTiming { build, verify }, false)
     }
 
-    /// Builds (and caches) the workload if it is not cached yet.
-    fn ensure_workload(&mut self, kind: WorkloadKind, variant: IsaVariant) {
-        if !self.workloads.contains_key(&(kind, variant)) {
-            let (wl, timing, _) = self.load_or_build(kind, variant);
-            self.workloads.insert((kind, variant), Arc::new(wl));
-            self.timings.insert((kind, variant), timing);
+    /// The trace's workload, resident from its first use for the
+    /// runner's life: loaded from the image cache, or built and
+    /// verified, once however many threads ask at the same time.
+    ///
+    /// # Panics
+    ///
+    /// See [`Runner::load_or_build`].
+    pub(crate) fn resident(&self, kind: WorkloadKind, variant: IsaVariant) -> Arc<Workload> {
+        let resident = |s: &Slot| Some(Arc::clone(&s.workload.as_ref()?.0));
+        match self.store.find_or_claim((kind, variant), resident) {
+            Ok(wl) => wl,
+            Err(claim) => self.load(&claim),
         }
     }
 
-    /// Returns (building and verifying on first use) a workload.
+    /// Loads or builds the claimed trace's workload into its slot.
+    fn load(&self, claim: &Claim<'_>) -> Arc<Workload> {
+        let (wl, timing, _) = self.load_or_build(claim.id.0, claim.id.1);
+        let wl = Arc::new(wl);
+        self.store.loads.fetch_add(1, Ordering::Relaxed);
+        self.store.lock().get_mut(&claim.id).expect("a claimed slot").workload =
+            Some((Arc::clone(&wl), timing));
+        wl
+    }
+
+    /// The trace's prepared state, shared with every holder of it, and
+    /// the wall-clock this call spent preparing it: zero unless this
+    /// call did the preparing. Makes the workload resident first if it
+    /// is not. The store keeps no strong reference, so the state lives
+    /// as long as the caller or another holder keeps it.
     ///
     /// # Panics
     ///
-    /// See [`Runner::build_workload`].
-    pub fn workload(&mut self, kind: WorkloadKind, variant: IsaVariant) -> &Workload {
-        self.ensure_workload(kind, variant);
-        &self.workloads[&(kind, variant)]
-    }
-
-    /// Like [`Runner::workload`], but hands out the shared [`Arc`]
-    /// (what the sweep engine distributes to its workers).
-    ///
-    /// # Panics
-    ///
-    /// See [`Runner::build_workload`].
-    pub fn workload_arc(&mut self, kind: WorkloadKind, variant: IsaVariant) -> Arc<Workload> {
-        self.ensure_workload(kind, variant);
-        Arc::clone(&self.workloads[&(kind, variant)])
-    }
-
-    /// Inserts an externally built (and verified) workload into the
-    /// cache. Later [`Runner::workload`] calls return it instead of
-    /// rebuilding.
-    pub fn insert_workload(&mut self, wl: Arc<Workload>) {
-        self.workloads.insert((wl.kind(), wl.variant()), wl);
-    }
-
-    /// Inserts an externally built workload together with its recorded
-    /// phase timings (how the sweep's task queue publishes its builds).
-    pub fn insert_workload_timed(&mut self, wl: Arc<Workload>, timing: WorkloadTiming) {
-        self.timings.insert((wl.kind(), wl.variant()), timing);
-        self.insert_workload(wl);
-    }
-
-    /// The recorded build/verify wall-clock of a cached workload.
-    /// Zero-duration when the workload was inserted without timings or
-    /// is not cached at all.
-    pub fn workload_timing(&self, kind: WorkloadKind, variant: IsaVariant) -> WorkloadTiming {
-        self.timings.get(&(kind, variant)).copied().unwrap_or_default()
-    }
-
-    /// The cached workload, if it is built, as its shared [`Arc`].
-    pub(crate) fn cached_workload(
+    /// See [`Runner::load_or_build`].
+    pub(crate) fn prepared(
         &self,
         kind: WorkloadKind,
         variant: IsaVariant,
-    ) -> Option<Arc<Workload>> {
-        self.workloads.get(&(kind, variant)).cloned()
+    ) -> (Arc<PreparedTrace>, Duration) {
+        let claim = match self.store.find_or_claim((kind, variant), |s| s.prepared.upgrade()) {
+            Ok(prepared) => return (prepared, Duration::ZERO),
+            Err(claim) => claim,
+        };
+        let resident = self.store.lock()[&claim.id].workload.as_ref().map(|w| Arc::clone(&w.0));
+        let wl = resident.unwrap_or_else(|| self.load(&claim));
+        let t0 = Instant::now();
+        let prepared = Arc::new(PreparedTrace::new(wl.trace()));
+        let took = t0.elapsed();
+        self.store.lock().get_mut(&claim.id).expect("a claimed slot").prepared =
+            Arc::downgrade(&prepared);
+        (prepared, took)
     }
 
-    /// True when the workload is already built and cached.
-    pub fn has_workload(&self, kind: WorkloadKind, variant: IsaVariant) -> bool {
-        self.workloads.contains_key(&(kind, variant))
+    /// Simulates `key` on `held` when that is `key`'s trace, otherwise
+    /// on the trace's state from the store, which then replaces `held`.
+    /// The old state is dropped first, so a trace nobody else holds is
+    /// freed before the next one is prepared. Returns the metrics and
+    /// the wall-clock, the preparation included when this call did the
+    /// preparing.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the workload fails to build or verify, or the
+    /// simulator rejects the trace.
+    pub(crate) fn simulate_held(&self, key: &SimKey, held: &mut Held) -> (Metrics, Duration) {
+        let id = (key.kind, key.variant);
+        let mut wall = Duration::ZERO;
+        if held.as_ref().is_none_or(|(h, _)| *h != id) {
+            *held = None;
+            let (prepared, took) = self.prepared(key.kind, key.variant);
+            *held = Some((id, prepared));
+            wall = took;
+        }
+        let (_, prepared) = held.as_ref().expect("held above");
+        let t0 = Instant::now();
+        (simulate(key, prepared), wall + t0.elapsed())
+    }
+
+    /// Returns (loading, or building and verifying, on first use) a
+    /// workload as its shared [`Arc`].
+    ///
+    /// # Panics
+    ///
+    /// See [`Runner::load_or_build`].
+    pub fn workload_arc(&mut self, kind: WorkloadKind, variant: IsaVariant) -> Arc<Workload> {
+        self.resident(kind, variant)
+    }
+
+    /// The recorded build/verify wall-clock of a resident workload;
+    /// zero-duration when it is not resident.
+    pub fn workload_timing(&self, kind: WorkloadKind, variant: IsaVariant) -> WorkloadTiming {
+        let slots = self.store.lock();
+        let slot = slots.get(&(kind, variant));
+        slot.and_then(|s| s.workload.as_ref()).map_or_else(Default::default, |w| w.1)
+    }
+
+    /// Workloads this runner loaded or built.
+    pub(crate) fn workloads_loaded(&self) -> u64 {
+        self.store.loads.load(Ordering::Relaxed)
+    }
+
+    /// Traces whose prepared state is still alive.
+    #[cfg(test)]
+    pub(crate) fn live_prepared(&self) -> usize {
+        self.store.lock().values().filter(|s| s.prepared.strong_count() > 0).count()
     }
 
     /// The cached metrics for `key`, if that cell was already simulated.
@@ -288,8 +393,8 @@ impl Runner {
         if let Some(m) = self.sims.get(&key) {
             return *m;
         }
-        let wl = self.workload_arc(kind, variant);
-        let metrics = simulate(&key, &wl);
+        // The trace's state is held for this call only.
+        let (metrics, _) = self.simulate_held(&key, &mut None);
         self.sims.insert(key, metrics);
         metrics
     }
@@ -301,29 +406,15 @@ impl Runner {
     }
 }
 
-/// Runs one simulation cell. Pure apart from the panic on simulator
-/// errors; called from the serial [`Runner::metrics`] path and from the
-/// sweep worker threads alike.
+/// Runs one simulation cell on its trace's prepared state: the one
+/// simulation path of the harness. Pure apart from the panic on
+/// simulator errors.
 ///
 /// # Panics
 ///
 /// Panics if the simulator rejects the trace.
-pub(crate) fn simulate(key: &SimKey, wl: &Workload) -> Metrics {
-    expect_simulated(key, Processor::new(key.config()).run(wl.trace()))
-}
-
-/// [`simulate`] on per-trace state shared with the other cells of the
-/// same trace (how the sweep workers run).
-///
-/// # Panics
-///
-/// Panics if the simulator rejects the trace.
-pub(crate) fn simulate_prepared(key: &SimKey, prepared: &PreparedTrace<'_>) -> Metrics {
-    expect_simulated(key, Processor::new(key.config()).run_prepared(prepared))
-}
-
-fn expect_simulated(key: &SimKey, result: Result<Metrics, SimError>) -> Metrics {
-    result.unwrap_or_else(|e| {
+pub(crate) fn simulate(key: &SimKey, prepared: &PreparedTrace) -> Metrics {
+    Processor::new(key.config()).run_prepared(prepared).unwrap_or_else(|e| {
         panic!("simulating {} {} on {:?}: {e}", key.kind, key.variant, key.memory)
     })
 }
@@ -392,13 +483,61 @@ mod tests {
         let mut r = Runner::small(1);
         let key = (WorkloadKind::GsmEncode, IsaVariant::Mom);
         assert_eq!(r.workload_timing(key.0, key.1), WorkloadTiming::default());
-        r.workload(key.0, key.1);
+        let wl = r.workload_arc(key.0, key.1);
         let t = r.workload_timing(key.0, key.1);
         assert!(t.build > Duration::ZERO, "building must take measurable time");
-        // Publishing an external build records its timing too.
-        let (wl, timing) = r.build_workload_timed(WorkloadKind::JpegDecode, IsaVariant::Mom);
-        r.insert_workload_timed(Arc::new(wl), timing);
-        assert_eq!(r.workload_timing(WorkloadKind::JpegDecode, IsaVariant::Mom), timing);
+        // The workload stays resident: asking again neither rebuilds
+        // nor re-times it.
+        assert!(Arc::ptr_eq(&wl, &r.workload_arc(key.0, key.1)));
+        assert_eq!(r.workload_timing(key.0, key.1), t);
+        assert_eq!(r.workloads_loaded(), 1);
+    }
+
+    /// Four threads asking for one trace at once share one build and
+    /// one preparation; the state dies with its last holder, and the
+    /// next asker prepares it again from the resident workload.
+    #[test]
+    fn the_store_prepares_once_for_concurrent_askers_and_frees_with_the_last_holder() {
+        let r = Runner::small(1);
+        let (kind, variant) = (WorkloadKind::JpegDecode, IsaVariant::Mom);
+        let held: Vec<(Arc<PreparedTrace>, Duration)> = std::thread::scope(|s| {
+            let askers: Vec<_> = (0..4).map(|_| s.spawn(|| r.prepared(kind, variant))).collect();
+            askers.into_iter().map(|h| h.join().expect("asker panicked")).collect()
+        });
+        assert!(held.iter().all(|(p, _)| Arc::ptr_eq(p, &held[0].0)), "one preparation");
+        assert_eq!(held.iter().filter(|(_, took)| *took > Duration::ZERO).count(), 1);
+        assert_eq!((r.workloads_loaded(), r.live_prepared()), (1, 1));
+        drop(held);
+        assert_eq!(r.live_prepared(), 0, "the last holder frees the state");
+        let (_again, took) = r.prepared(kind, variant);
+        assert!(took > Duration::ZERO, "a freed trace is prepared again");
+        assert_eq!(r.workloads_loaded(), 1, "from the resident workload");
+    }
+
+    /// A claimant that panics un-claims its slot and wakes its waiter,
+    /// which then claims the slot itself instead of waiting forever.
+    #[test]
+    fn a_panicking_claimant_hands_its_slot_to_a_waiter() {
+        let store = Store::default();
+        let id = (WorkloadKind::GsmEncode, IsaVariant::Mom);
+        let claim = store.find_or_claim(id, |_| None::<()>).expect_err("the first asker claims");
+        let (looked, seen) = std::sync::mpsc::channel();
+        std::thread::scope(|s| {
+            let waiter = s.spawn(|| {
+                let found = move |_: &Slot| looked.send(()).map_or(None, |()| None::<()>);
+                store.find_or_claim(id, found).is_err()
+            });
+            // The waiter found the slot busy under the lock, which it
+            // holds until it waits, so the claim drops onto a parked
+            // waiter.
+            seen.recv().expect("the waiter looks");
+            let failed = std::panic::catch_unwind(std::panic::AssertUnwindSafe(move || {
+                let _claim = claim;
+                panic!("an injected build failure");
+            }));
+            assert!(failed.is_err());
+            assert!(waiter.join().expect("waiter panicked"), "the waiter claims the slot");
+        });
     }
 
     #[test]

@@ -16,17 +16,20 @@
 //!   cells answer immediately, identical in-flight cells coalesce onto
 //!   the running simulation, and fresh cells are claimed and pushed onto
 //! * **one work queue**, drained two ways: local pool threads (the
-//!   [`crate::sweep`] worker-count policy, sharing its [`Runner`]
-//!   build/verify and `simulate` paths) pop one cell at a time, and
-//!   pull-based workers ([`crate::shard::run_worker`]) take batches with
+//!   [`crate::sweep`] worker-count policy) pop one cell at a time and
+//!   simulate it on its trace's state from the service [`Runner`]'s
+//!   per-trace store, the one path every harness cell takes; pull-based
+//!   workers ([`crate::shard::run_worker`]) take batches with
 //!   `SHARD_CLAIM` and stream each result back as a `CELL_DONE`. Either
 //!   way the result is published to the memo table, waking every handler
 //!   streaming that cell. The first publish wins; a `CELL_DONE` for a
 //!   cell that is not in flight is counted and dropped;
-//! * workloads resolve through a second memo table, so concurrent
-//!   requests for different cells of one workload build it exactly
-//!   once — hydrated from the on-disk workload-image cache when one is
-//!   attached.
+//! * workloads resolve through that store, so concurrent requests for
+//!   different cells of one workload build it exactly once — hydrated
+//!   from the on-disk workload-image cache when one is attached — and it
+//!   stays resident. Fresh cells are queued trace by trace, and a pool
+//!   thread keeps a trace's prepared state only while the next cell it
+//!   pops is of that trace, so an idle pool holds none.
 //!
 //! [`serve`] runs the service with N local threads. The coordinator
 //! ([`crate::shard::coordinate`]) runs the same service with none, its
@@ -43,8 +46,8 @@
 //!
 //! Failure containment: frame-level damage costs one connection,
 //! request-level damage costs one error reply, and a panicking local
-//! simulation un-claims its cell ([`ClaimGuard`] semantics inside the
-//! pool) so waiters get an [`ERR_SIM_FAILED`] reply instead of a hang.
+//! simulation un-claims its cell ([`MemoTable::fail`] inside the pool)
+//! so waiters get an [`ERR_SIM_FAILED`] reply instead of a hang.
 //! A client disconnecting mid-stream kills only its handler thread —
 //! scheduled simulations complete and stay memoized for the next
 //! requester. The memo table is never corrupted by a misbehaving
@@ -65,17 +68,17 @@
 
 use crate::faults::ChaosConfig;
 use crate::manifest::Manifest;
-use crate::memo::{ClaimGuard, MemoTable, Schedule};
+use crate::memo::{MemoTable, Schedule};
 use crate::protocol::{
     CellReply, Endpoint, Hello, Request, Response, ServeCounters, Stream, ERR_OVERLOADED,
     ERR_SIM_FAILED, ERR_TIMEOUT,
 };
-use crate::runner::{simulate, Runner, SimKey};
+use crate::runner::{Held, Runner, SimKey};
 use crate::server::{self, respond, Core, Listener};
 use crate::sweep;
 use crate::WorkloadCache;
 use mom3d_cpu::Metrics;
-use mom3d_kernels::{IsaVariant, Workload, WorkloadKind};
+use mom3d_kernels::{IsaVariant, WorkloadKind};
 use std::collections::{HashMap, VecDeque};
 use std::io;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -161,7 +164,6 @@ impl Default for ServeConfig {
 struct Counters {
     requests: AtomicU64,
     sims_executed: AtomicU64,
-    workloads_built: AtomicU64,
     results_streamed: AtomicU64,
     shed: AtomicU64,
 }
@@ -228,9 +230,10 @@ impl Queue {
 #[derive(Debug)]
 pub(crate) struct CellService {
     pub(crate) core: Core,
+    /// Holds the per-trace store: resident workloads and prepared
+    /// traces.
     runner: Runner,
     hello: Hello,
-    workloads: MemoTable<(WorkloadKind, IsaVariant), Arc<Workload>>,
     /// Every result, local or remote: the service's only result store.
     pub(crate) memo: MemoTable<SimKey, Metrics>,
     queue: Mutex<Queue>,
@@ -252,7 +255,6 @@ impl CellService {
             core,
             runner,
             hello,
-            workloads: MemoTable::new(),
             memo: MemoTable::new(),
             queue: Mutex::new(Queue::default()),
             changed: Condvar::new(),
@@ -298,7 +300,7 @@ impl CellService {
             memo_misses: memo.misses,
             memo_coalesced: memo.coalesced,
             sims_executed: self.counters.sims_executed.load(Ordering::Relaxed),
-            workloads_built: self.counters.workloads_built.load(Ordering::Relaxed),
+            workloads_built: self.runner.workloads_loaded(),
             protocol_errors: self.core.protocol_errors.load(Ordering::Relaxed),
             results_streamed: self.counters.results_streamed.load(Ordering::Relaxed),
             shed: self.counters.shed.load(Ordering::Relaxed),
@@ -306,8 +308,8 @@ impl CellService {
         }
     }
 
-    fn enqueue(&self, key: SimKey) {
-        self.lock().pending.push_back(key);
+    fn enqueue(&self, keys: Vec<SimKey>) {
+        self.lock().pending.extend(keys);
         self.changed.notify_all();
     }
 
@@ -527,44 +529,11 @@ impl CellService {
     }
 }
 
-/// Resolves a workload into residence, building (or image-cache
-/// loading) it exactly once across all concurrent requesters.
-///
-/// Panics propagate to the worker's `catch_unwind`; the [`ClaimGuard`]
-/// un-claims the pair so a failed build is retryable.
-fn resolve_workload(
-    state: &CellService,
-    kind: WorkloadKind,
-    variant: IsaVariant,
-) -> Arc<Workload> {
-    loop {
-        match state.workloads.schedule((kind, variant)) {
-            Schedule::Ready(wl) => return wl,
-            Schedule::InFlight => {
-                if let Ok(wl) = state.workloads.wait(&(kind, variant)) {
-                    return wl;
-                }
-                // The in-flight build was abandoned; retry (and possibly
-                // claim it ourselves this time).
-            }
-            Schedule::Claimed => {
-                let guard = ClaimGuard::new(&state.workloads, (kind, variant));
-                let (wl, _timing, _cached) = state.runner.load_or_build(kind, variant);
-                let wl = Arc::new(wl);
-                state.counters.workloads_built.fetch_add(1, Ordering::Relaxed);
-                guard.publish(Arc::clone(&wl));
-                return wl;
-            }
-        }
-    }
-}
-
-/// One local-pool iteration: simulate a queued cell and publish (or,
-/// on panic, un-claim) it.
-fn run_cell(state: &CellService, key: SimKey) {
+/// One local-pool cell: simulate it on `held`, or on its trace's state
+/// from the store, and publish it (or, on panic, un-claim it).
+fn run_cell(state: &CellService, key: SimKey, held: &mut Held) {
     let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        let wl = resolve_workload(state, key.kind, key.variant);
-        simulate(&key, &wl)
+        state.runner.simulate_held(&key, held).0
     }));
     match result {
         Ok(metrics) => {
@@ -580,23 +549,38 @@ fn run_cell(state: &CellService, key: SimKey) {
     }
 }
 
+/// One local pool thread. It keeps the trace state of the cell it ran
+/// while the next queued cell is of the same trace, and drops it before
+/// it counts itself idle, so an idle pool holds no trace's state.
 fn local_loop(state: &CellService) {
+    let mut held: Held = None;
+    let mut q = state.lock();
     loop {
-        let key = {
-            let mut q = state.lock();
-            loop {
-                if let Some(key) = q.pending.pop_front() {
-                    q.running += 1;
-                    break key;
-                }
-                if q.pool_closed {
-                    return; // drained + shutting down
-                }
-                q = state.wait_tick(q);
+        let Some(mut key) = q.pending.pop_front() else {
+            if q.pool_closed {
+                return; // drained + shutting down
             }
+            q = state.wait_tick(q);
+            continue;
         };
-        run_cell(state, key);
-        let mut q = state.lock();
+        q.running += 1;
+        loop {
+            drop(q);
+            run_cell(state, key, &mut held);
+            q = state.lock();
+            let trace = held.as_ref().map(|(trace, _)| *trace);
+            match q.pending.front() {
+                Some(next) if Some((next.kind, next.variant)) == trace => {
+                    key = q.pending.pop_front().expect("a front cell");
+                }
+                _ => break,
+            }
+        }
+        if held.is_some() {
+            drop(q);
+            held = None;
+            q = state.lock();
+        }
         q.running -= 1;
         if q.running == 0 && q.pending.is_empty() {
             // The pool went idle: wake a shutdown waiting for that.
@@ -614,24 +598,30 @@ fn local_loop(state: &CellService) {
 /// [`ERR_TIMEOUT`] reply, and the cells stay queued and memoize, so a
 /// retrying client re-requests exactly the ones it never received).
 fn stream_cells(state: &CellService, stream: &mut Stream, cells: &[SimKey]) -> Option<u32> {
-    let mut results: u32 = 0;
-    let mut pending: Vec<SimKey> = Vec::new();
+    let (mut hits, mut fresh, mut pending) = (Vec::new(), Vec::new(), Vec::new());
     for key in sweep::unique_cells(cells) {
         match state.memo.schedule(key) {
-            Schedule::Ready(metrics) => {
-                state.counters.results_streamed.fetch_add(1, Ordering::Relaxed);
-                let reply = Response::Result(CellReply { key, memo_hit: true, metrics });
-                // On a dead connection queued cells still complete and
-                // memoize.
-                respond(stream, &reply).ok()?;
-                results += 1;
-            }
+            Schedule::Ready(metrics) => hits.push((key, metrics)),
             Schedule::InFlight => pending.push(key),
             Schedule::Claimed => {
-                state.enqueue(key);
+                fresh.push(key);
                 pending.push(key);
             }
         }
+    }
+    if !fresh.is_empty() {
+        // Trace by trace, so a pool thread runs one trace's cells back
+        // to back on one prepared state.
+        sweep::sort_by_trace(&mut fresh);
+        state.enqueue(fresh);
+    }
+    let mut results: u32 = 0;
+    for (key, metrics) in hits {
+        state.counters.results_streamed.fetch_add(1, Ordering::Relaxed);
+        let reply = Response::Result(CellReply { key, memo_hit: true, metrics });
+        // On a dead connection queued cells still complete and memoize.
+        respond(stream, &reply).ok()?;
+        results += 1;
     }
     while !pending.is_empty() {
         let Some(step) = state.memo.wait_any_for(&mut pending, RESULT_DEADLINE) else {
@@ -715,7 +705,7 @@ impl ServerHandle {
                     .spawn(move || {
                         let ok = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
                             for (kind, variant) in mine {
-                                resolve_workload(&state, kind, variant);
+                                state.runner.resident(kind, variant);
                             }
                         }));
                         let _ = loaded_tx.send(ok.is_ok());
@@ -1136,6 +1126,51 @@ mod tests {
         drop(client);
         stopper.join().unwrap();
         assert_eq!(Arc::strong_count(&state), 1, "a service thread outlived shutdown");
+    }
+
+    /// A served sweep leaves no trace's prepared state alive once the
+    /// pool is idle: a pool thread drops its trace before it waits, and
+    /// the store keeps only weak handles.
+    #[test]
+    fn an_idle_pool_holds_no_prepared_trace() {
+        let handle = serve(unix_endpoint("idle"), test_config()).expect("server binds");
+        let cells: Vec<SimKey> = [20, 40, 60]
+            .into_iter()
+            .flat_map(|l2_latency| {
+                [WorkloadKind::GsmEncode, WorkloadKind::JpegDecode].map(|kind| SimKey {
+                    kind,
+                    variant: IsaVariant::Mom,
+                    memory: MemorySystemKind::VectorCache.into(),
+                    l2_latency,
+                })
+            })
+            .collect();
+        let mut client = Client::connect(handle.endpoint()).unwrap();
+        client.send(&Request::Sweep(cells.clone())).unwrap();
+        loop {
+            match client.recv().expect("the sweep streams") {
+                Response::Result(_) => {}
+                Response::Done { results } => {
+                    assert_eq!(results as usize, cells.len());
+                    break;
+                }
+                other => panic!("unexpected sweep reply {other:?}"),
+            }
+        }
+        let deadline = Instant::now() + Duration::from_secs(60);
+        loop {
+            let q = handle.state.lock();
+            if q.pending.is_empty() && q.running == 0 {
+                break;
+            }
+            drop(q);
+            assert!(Instant::now() < deadline, "the pool never went idle");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        assert_eq!(handle.state.runner.live_prepared(), 0, "an idle pool thread kept a trace");
+        assert_eq!(handle.counters().workloads_built, 2);
+        drop(client);
+        handle.shutdown();
     }
 
     #[test]

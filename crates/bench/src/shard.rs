@@ -45,14 +45,12 @@
 use crate::faults::{Backoff, ChaosConfig};
 use crate::manifest::{self, Manifest};
 use crate::protocol::{Client, Endpoint, Hello, Request, Response, MAX_SWEEP_CELLS};
-use crate::runner::{simulate_prepared, Runner, SimKey, WorkloadTiming};
+use crate::runner::{Runner, SimKey, WorkloadTiming};
 use crate::serve::{CellService, ServerHandle, DEFAULT_LEASE};
 use crate::server::{self, Core};
 use crate::stats;
 use crate::sweep::{self, CellResult, Sharding, SweepReport, WorkerStats};
 use crate::WorkloadCache;
-use mom3d_cpu::PreparedTrace;
-use mom3d_kernels::{IsaVariant, WorkloadKind};
 use std::collections::HashSet;
 use std::io;
 use std::path::PathBuf;
@@ -398,7 +396,9 @@ pub struct WorkerConfig {
     /// Self-reported worker id (attributes the report's per-worker
     /// stats).
     pub id: u32,
-    /// Prebuild worker threads (0 = all cores).
+    /// Inert: a worker simulates its grant on one thread and loads each
+    /// workload when it reaches the workload's first cell. Kept so
+    /// existing callers and `--threads` still parse.
     pub threads: usize,
     /// Workload-image cache to hydrate workloads from.
     pub cache_dir: Option<PathBuf>,
@@ -468,12 +468,14 @@ fn unexpected(context: &str, resp: &Response) -> io::Error {
 /// The [`Runner`] is built lazily from the first grant's seed and
 /// geometry (the worker itself needs no sweep configuration) and kept
 /// for the whole session, so workloads and metrics stay memoized across
-/// grants. Workload builds go through [`sweep::prebuild_workloads`] and
-/// the image cache in `config.cache_dir`, the same cold path as every
-/// other harness entry point. The service queues the grid trace by
-/// trace, so a grant's cells of one trace are adjacent; each such run
-/// simulates on one shared [`PreparedTrace`], as [`sweep::run`] does,
-/// and still streams a `CELL_DONE` per cell.
+/// grants. Every uncached cell takes its trace's state from the
+/// runner's per-trace store, which loads the workload from the image
+/// cache in `config.cache_dir` or builds and verifies it, the same cold
+/// path as every other harness entry point. The service queues the grid
+/// trace by trace, so a grant's cells of one trace are adjacent; the
+/// worker holds that trace's [`mom3d_cpu::PreparedTrace`] through such
+/// a run and drops it when the run ends, and still streams a
+/// `CELL_DONE` per cell.
 ///
 /// **Fault discipline**: any mid-session transport or framing failure
 /// (reset, bit-flipped frame, expired deadline, any typed error)
@@ -489,7 +491,6 @@ fn unexpected(context: &str, resp: &Response) -> io::Error {
 ///
 /// Propagates first-connect failures and strike-budget exhaustion.
 pub fn run_worker(endpoint: &Endpoint, config: &WorkerConfig) -> io::Result<WorkerSummary> {
-    let threads = if config.threads == 0 { sweep::default_threads() } else { config.threads };
     let mut runner: Option<Runner> = None;
     let mut summary = WorkerSummary::default();
     let mut conn_seq: u64 = 0;
@@ -533,49 +534,42 @@ pub fn run_worker(endpoint: &Endpoint, config: &WorkerConfig) -> io::Result<Work
                     let base = if small { Runner::small(seed) } else { Runner::new(seed) };
                     base.with_cache(WorkloadCache::resolve(config.cache_dir.as_deref()))
                 });
-                let pairs: Vec<(WorkloadKind, IsaVariant)> =
-                    cells.iter().map(|c| (c.kind, c.variant)).collect();
-                sweep::prebuild_workloads(runner, &pairs, threads);
                 let mut completed: u32 = 0;
-                // Each run of one trace's cells shares that trace's
-                // decode, wakeup lists and warmed caches, prepared by
-                // its first uncached cell (whose wall-clock includes it).
-                for run in cells.chunk_by(|a, b| (a.kind, a.variant) == (b.kind, b.variant)) {
-                    let wl = runner.workload_arc(run[0].kind, run[0].variant);
-                    let mut prepared = None;
-                    for key in run {
-                        let t0 = Instant::now();
-                        let metrics = runner.cached_metrics(key).unwrap_or_else(|| {
-                            let prepared =
-                                prepared.get_or_insert_with(|| PreparedTrace::new(wl.trace()));
-                            let metrics = simulate_prepared(key, prepared);
+                // Each run of one trace's cells holds that trace's state
+                // from the runner's store until the run ends.
+                let mut held = None;
+                for key in &cells {
+                    let (metrics, wall) = match runner.cached_metrics(key) {
+                        Some(metrics) => (metrics, Duration::ZERO),
+                        None => {
+                            let (metrics, wall) = runner.simulate_held(key, &mut held);
                             runner.insert_metrics(*key, metrics);
-                            metrics
-                        });
-                        let wall_ns = u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX);
-                        if let Err(e) =
-                            client.send(&Request::CellDone { key: *key, wall_ns, metrics })
-                        {
-                            break 'session e;
+                            (metrics, wall)
                         }
-                        completed += 1;
-                        summary.cells += 1;
-                        if config.abort_after.is_some_and(|n| summary.cells >= n as u64) {
-                            // Vanish mid-shard like a crashed process: no
-                            // FIN, just a dropped connection. The
-                            // service requeues the rest of the grant.
-                            return Ok(summary);
-                        }
-                        if config.stall_after.is_some_and(|n| summary.cells >= n as u64) {
-                            // Go silent with the connection *open* — the
-                            // stalled-not-dead failure mode. The
-                            // service's grant lease requeues the rest
-                            // of this grant; this worker then retires.
-                            std::thread::sleep(config.stall_for);
-                            return Ok(summary);
-                        }
+                    };
+                    let wall_ns = u64::try_from(wall.as_nanos()).unwrap_or(u64::MAX);
+                    let done = Request::CellDone { key: *key, wall_ns, metrics };
+                    if let Err(e) = client.send(&done) {
+                        break 'session e;
+                    }
+                    completed += 1;
+                    summary.cells += 1;
+                    if config.abort_after.is_some_and(|n| summary.cells >= n as u64) {
+                        // Vanish mid-shard like a crashed process: no
+                        // FIN, just a dropped connection. The service
+                        // requeues the rest of the grant.
+                        return Ok(summary);
+                    }
+                    if config.stall_after.is_some_and(|n| summary.cells >= n as u64) {
+                        // Go silent with the connection *open* — the
+                        // stalled-not-dead failure mode. The service's
+                        // grant lease requeues the rest of this grant;
+                        // this worker then retires.
+                        std::thread::sleep(config.stall_for);
+                        return Ok(summary);
                     }
                 }
+                drop(held);
                 match client.round_trip(&Request::ShardFin { completed }) {
                     Ok(Response::Done { .. }) => {}
                     Ok(other) => break 'session unexpected("SHARD_FIN", &other),

@@ -7,15 +7,19 @@
 //! simulation. This module exploits that independence with one queue of
 //! per-trace tasks over [`std::thread::scope`] workers ([`run`]):
 //!
-//! * a worker claims a trace, loads its workload from the image cache or
+//! * a worker claims a trace and takes its state from the [`Runner`]'s
+//!   per-trace store, which loads the workload from the image cache or
 //!   builds and verifies it (building dominates the cold-start cost —
 //!   each build runs the functional emulator against the scalar
-//!   reference), prepares the trace once ([`PreparedTrace`]: decode,
-//!   wakeup lists, warmed caches) and runs the trace's cells on it;
+//!   reference) and prepares the trace once
+//!   ([`mom3d_cpu::PreparedTrace`]: decode, wakeup lists, warmed
+//!   caches); the worker then runs the trace's cells on it;
 //! * an idle worker starts the next trace nobody has started, and once
-//!   none is left joins the trace with the most unclaimed cells, sharing
-//!   its `PreparedTrace`; there is no barrier between building and
-//!   simulating, and the trace's last cell frees the shared state;
+//!   none is left joins the trace with the most unclaimed cells, getting
+//!   the same `PreparedTrace` from the store (waiting if it is still
+//!   being prepared); there is no barrier between building and
+//!   simulating. A worker holds a trace's state only while it runs
+//!   cells of it, so the last worker to move on frees it;
 //! * the per-worker [`Metrics`] are merged back into the [`Runner`]
 //!   cache in deterministic (enumeration) order, so the figure/table
 //!   formatters downstream see exactly what a serial run would have
@@ -40,15 +44,15 @@
 
 use crate::cache::CacheStats;
 use crate::json::json_string;
-use crate::runner::{simulate_prepared, Runner, SimKey, WorkloadTiming};
+use crate::runner::{Runner, SimKey, WorkloadTiming};
 use crate::stats::Percentiles;
-use mom3d_cpu::{BackendId, BackendRegistry, MemorySystemKind, Metrics, PreparedTrace};
+use mom3d_cpu::{BackendId, BackendRegistry, MemorySystemKind, Metrics};
 use mom3d_kernels::{IsaVariant, Workload, WorkloadKind};
 use std::collections::{HashMap, HashSet};
 use std::path::{Path, PathBuf};
 use std::ops::Range;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
+use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 // The sweep hands workloads and metrics across threads; keep that a
@@ -331,16 +335,16 @@ pub fn json_path_from_env() -> PathBuf {
     std::env::var_os("MOM3D_SWEEP_JSON").map_or_else(|| PathBuf::from("BENCH_sweep.json"), PathBuf::from)
 }
 
-/// Makes every listed workload available in the runner's in-memory
-/// cache: [`run`]'s task queue with no cells, so `threads` workers each
-/// claim a pair, load it from the runner's workload-image cache (when
+/// Makes every listed workload resident in the runner's per-trace
+/// store: [`run`]'s task queue with no cells, so `threads` workers each
+/// claim a pair and load it from the runner's workload-image cache (when
 /// attached) or build and verify it, and store a fresh image only after
 /// it verifies.
 ///
 /// # Panics
 ///
 /// Panics if any workload fails to build or verify (see
-/// [`Runner::build_workload`]), or if a worker thread panics.
+/// [`Runner::load_or_build`]), or if a worker thread panics.
 pub fn prebuild_workloads(
     runner: &mut Runner,
     pairs: &[(WorkloadKind, IsaVariant)],
@@ -349,8 +353,8 @@ pub fn prebuild_workloads(
     let mut seen = HashSet::new();
     let tasks: Vec<TraceTask> = pairs
         .iter()
-        .filter(|&&(k, v)| seen.insert((k, v)) && !runner.has_workload(k, v))
-        .map(|&(kind, variant)| TraceTask::new(runner, kind, variant, 0..0))
+        .filter(|&&pair| seen.insert(pair))
+        .map(|&(kind, variant)| TraceTask { kind, variant, jobs: 0..0 })
         .collect();
     execute(runner, &tasks, &[], threads);
 }
@@ -361,15 +365,15 @@ pub fn prebuild_workloads(
 /// `reused`) in first-occurrence enumeration order.
 ///
 /// The work is one queue of per-trace tasks, in first-occurrence order.
-/// A worker claims a trace, loads or builds and verifies its workload,
-/// prepares the trace ([`PreparedTrace`]) and runs the trace's cells.
-/// A worker out of cells of its own starts the next trace nobody has
-/// started, or once none is left joins the trace with the most
-/// unclaimed cells and shares its `PreparedTrace`, waiting only if that
-/// is still being prepared. The trace's last cell frees the shared
-/// state. Determinism is unaffected because every cell is an
-/// independent pure simulation and results are published in
-/// enumeration order.
+/// A worker claims a trace, takes its [`mom3d_cpu::PreparedTrace`] from
+/// the runner's store (which loads or builds and verifies the workload
+/// and prepares the trace, once) and runs the trace's cells on it. A worker
+/// out of cells of its own drops the trace's state and starts the next
+/// trace nobody has started, or once none is left joins the trace with
+/// the most unclaimed cells, sharing its `PreparedTrace` through the
+/// store. No trace's state outlives the return. Determinism is
+/// unaffected because every cell is an independent pure simulation and
+/// results are published in enumeration order.
 ///
 /// # Panics
 ///
@@ -385,7 +389,7 @@ pub fn run(runner: &mut Runner, cells: &[SimKey], threads: usize) -> SweepReport
     let mut first = 0;
     for trace in jobs.chunk_by(|a, b| (a.kind, a.variant) == (b.kind, b.variant)) {
         let (kind, variant) = (trace[0].kind, trace[0].variant);
-        tasks.push(TraceTask::new(runner, kind, variant, first..first + trace.len()));
+        tasks.push(TraceTask { kind, variant, jobs: first..first + trace.len() });
         first += trace.len();
     }
     let mut walls: HashMap<SimKey, Duration> = HashMap::with_capacity(jobs.len());
@@ -418,70 +422,26 @@ pub fn run(runner: &mut Runner, cells: &[SimKey], threads: usize) -> SweepReport
     }
 }
 
-/// One trace of the task queue: its workload, and the cells to simulate
-/// on it as a range of the job list.
+/// One trace of the task queue: the cells to simulate on it, as a
+/// range of the job list.
 struct TraceTask {
     kind: WorkloadKind,
     variant: IsaVariant,
-    /// Set up front when the runner already holds the workload,
-    /// otherwise by the worker that starts the task.
-    workload: OnceLock<Arc<Workload>>,
     jobs: Range<usize>,
 }
 
-impl TraceTask {
-    fn new(runner: &Runner, kind: WorkloadKind, variant: IsaVariant, jobs: Range<usize>) -> Self {
-        let workload =
-            runner.cached_workload(kind, variant).map_or_else(OnceLock::new, OnceLock::from);
-        TraceTask { kind, variant, workload, jobs }
-    }
-}
-
 /// What the workers of [`execute`] share, behind one mutex.
-struct Queue<'w> {
+struct Queue {
     /// The first task no worker has started.
     next: usize,
-    tasks: Vec<Progress<'w>>,
-    /// A worker panicked: nobody claims or waits any more.
-    failed: bool,
+    /// Each task's jobs no worker has claimed.
+    unclaimed: Vec<Range<usize>>,
 }
 
-/// Where one task stands.
-struct Progress<'w> {
-    /// Its jobs no worker has claimed.
-    unclaimed: Range<usize>,
-    /// Its jobs not finished.
-    left: usize,
-    /// The trace's shared state, from the end of its preparation until
-    /// its last job finishes.
-    prepared: Option<Arc<PreparedTrace<'w>>>,
-}
-
-/// A worker's next step.
-enum Claim<'w> {
-    /// Start task `.0`; run job `.1`, if any, after preparing the trace.
-    Start(usize, Option<usize>),
-    /// Run job `.1` of task `.0` on the trace's prepared state.
-    Join(usize, usize, Arc<PreparedTrace<'w>>),
-}
-
-/// What one worker did: the tasks whose workload it loaded or built,
-/// and each job it ran with its metrics and wall-clock.
-#[derive(Default)]
-struct Done {
-    built: Vec<(usize, WorkloadTiming)>,
-    jobs: Vec<(usize, Metrics, Duration)>,
-}
-
-fn lock<'a, 'w>(queue: &'a Mutex<Queue<'w>>) -> MutexGuard<'a, Queue<'w>> {
-    queue.lock().expect("sweep queue poisoned")
-}
-
-/// Runs `tasks` on up to `threads` scoped workers (see [`run`]) and
-/// publishes the workloads they loaded or built into `runner`, in task
-/// order. Returns every job's metrics and wall-clock, in job order.
+/// Runs `tasks` on up to `threads` scoped workers (see [`run`]).
+/// Returns every job's metrics and wall-clock, in job order.
 fn execute(
-    runner: &mut Runner,
+    runner: &Runner,
     tasks: &[TraceTask],
     jobs: &[SimKey],
     threads: usize,
@@ -490,126 +450,59 @@ fn execute(
     if units == 0 {
         return Vec::new();
     }
-    let progress = tasks
-        .iter()
-        .map(|t| Progress { unclaimed: t.jobs.clone(), left: t.jobs.len(), prepared: None });
-    let queue = Mutex::new(Queue { next: 0, tasks: progress.collect(), failed: false });
-    let ready = Condvar::new();
-    let shared: &Runner = runner;
-    let done: Vec<Done> = std::thread::scope(|s| {
+    let unclaimed = tasks.iter().map(|t| t.jobs.clone()).collect();
+    let queue = Mutex::new(Queue { next: 0, unclaimed });
+    let mut fresh: Vec<_> = std::thread::scope(|s| {
         let handles: Vec<_> = (0..threads.clamp(1, units))
-            .map(|_| s.spawn(|| work(shared, tasks, jobs, &queue, &ready)))
+            .map(|_| s.spawn(|| work(runner, tasks, jobs, &queue)))
             .collect();
-        handles.into_iter().map(|h| h.join().expect("sweep worker panicked")).collect()
+        handles.into_iter().flat_map(|h| h.join().expect("sweep worker panicked")).collect()
     });
-    let (mut built, mut fresh) = (Vec::new(), Vec::with_capacity(jobs.len()));
-    for d in done {
-        built.extend(d.built);
-        fresh.extend(d.jobs);
-    }
-    built.sort_by_key(|&(t, _)| t);
-    for (t, timing) in built {
-        let wl = tasks[t].workload.get().expect("a started task has its workload");
-        runner.insert_workload_timed(Arc::clone(wl), timing);
-    }
     fresh.sort_by_key(|&(j, ..)| j);
     fresh
 }
 
-/// One worker of [`execute`]: claims and runs steps until none is left.
-fn work<'w>(
+/// One worker of [`execute`]: claims and runs steps until none is left,
+/// holding the state of the trace it works on until it moves on.
+fn work(
     runner: &Runner,
-    tasks: &'w [TraceTask],
+    tasks: &[TraceTask],
     jobs: &[SimKey],
-    queue: &Mutex<Queue<'w>>,
-    ready: &Condvar,
-) -> Done {
-    let _bail = Bail { queue, ready };
-    let mut done = Done::default();
+    queue: &Mutex<Queue>,
+) -> Vec<(usize, Metrics, Duration)> {
+    let mut done = Vec::new();
+    let mut held = None;
     let mut mine = None;
-    while let Some(claim) = next_claim(queue, ready, mine) {
-        let (t, job, prepared, t0) = match claim {
-            Claim::Start(t, job) => {
-                let task = &tasks[t];
-                let wl = task.workload.get_or_init(|| {
-                    let (wl, timing, _) = runner.load_or_build(task.kind, task.variant);
-                    done.built.push((t, timing));
-                    Arc::new(wl)
-                });
-                let Some(job) = job else { continue };
-                // The preparing job's wall-clock includes the preparation.
-                let t0 = Instant::now();
-                let prepared = Arc::new(PreparedTrace::new(wl.trace()));
-                lock(queue).tasks[t].prepared = Some(Arc::clone(&prepared));
-                ready.notify_all();
-                (t, job, prepared, t0)
-            }
-            Claim::Join(t, job, prepared) => (t, job, prepared, Instant::now()),
+    while let Some((t, job)) = next_claim(queue, mine) {
+        let Some(job) = job else {
+            runner.resident(tasks[t].kind, tasks[t].variant);
+            continue;
         };
         mine = Some(t);
-        let metrics = simulate_prepared(&jobs[job], &prepared);
-        drop(prepared);
-        done.jobs.push((job, metrics, t0.elapsed()));
-        let mut q = lock(queue);
-        let task = &mut q.tasks[t];
-        task.left -= 1;
-        let last = if task.left == 0 { task.prepared.take() } else { None };
-        drop(q);
-        drop(last);
+        let (metrics, wall) = runner.simulate_held(&jobs[job], &mut held);
+        done.push((job, metrics, wall));
     }
     done
 }
 
 /// The next step for a worker last busy on task `mine`: a job of that
-/// task, else the next task nobody has started, else a job of the task
-/// with the most unclaimed jobs. Waits for a joined task's preparation;
-/// `None` once nothing is left or a worker has panicked.
-fn next_claim<'w>(
-    queue: &Mutex<Queue<'w>>,
-    ready: &Condvar,
-    mine: Option<usize>,
-) -> Option<Claim<'w>> {
-    let mut q = lock(queue);
-    if q.failed {
-        return None;
-    }
-    let (t, job) = match mine.and_then(|t| Some((t, q.tasks[t].unclaimed.next()?))) {
-        Some(claimed) => claimed,
-        None if q.next < q.tasks.len() => {
-            let t = q.next;
-            q.next += 1;
-            return Some(Claim::Start(t, q.tasks[t].unclaimed.next()));
-        }
-        None => {
-            let t = (0..q.tasks.len()).max_by_key(|&t| q.tasks[t].unclaimed.len())?;
-            (t, q.tasks[t].unclaimed.next()?)
-        }
-    };
-    loop {
-        if q.failed {
-            return None;
-        }
-        if let Some(prepared) = &q.tasks[t].prepared {
-            return Some(Claim::Join(t, job, Arc::clone(prepared)));
-        }
-        q = ready.wait(q).expect("sweep queue poisoned");
-    }
-}
-
-/// Marks the queue failed and wakes every waiting worker when a worker
-/// unwinds, so none waits for a trace that will never be prepared.
-struct Bail<'a, 'w> {
-    queue: &'a Mutex<Queue<'w>>,
-    ready: &'a Condvar,
-}
-
-impl Drop for Bail<'_, '_> {
-    fn drop(&mut self) {
-        if std::thread::panicking() {
-            self.queue.lock().unwrap_or_else(PoisonError::into_inner).failed = true;
-            self.ready.notify_all();
+/// task, else the next task nobody has started (with its first job, if
+/// it has any), else a job of the task with the most unclaimed jobs;
+/// `None` once nothing is left.
+fn next_claim(queue: &Mutex<Queue>, mine: Option<usize>) -> Option<(usize, Option<usize>)> {
+    let mut q = queue.lock().expect("sweep queue poisoned");
+    if let Some(t) = mine {
+        if let Some(job) = q.unclaimed[t].next() {
+            return Some((t, Some(job)));
         }
     }
+    if q.next < q.unclaimed.len() {
+        let t = q.next;
+        q.next += 1;
+        return Some((t, q.unclaimed[t].next()));
+    }
+    let t = (0..q.unclaimed.len()).max_by_key(|&t| q.unclaimed[t].len())?;
+    Some((t, Some(q.unclaimed[t].next()?)))
 }
 
 fn cell(
@@ -768,6 +661,7 @@ pub fn extended_grid() -> Vec<SimKey> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::Arc;
 
     #[test]
     fn full_grid_has_no_duplicates_and_covers_figures() {
@@ -881,6 +775,25 @@ mod tests {
         assert!(again.cells[0].reused);
         assert_eq!(again.cells[0].wall, Duration::ZERO);
         assert_eq!(again.cells[0].workload, c.workload);
+    }
+
+    /// No trace's prepared state is alive once [`run`] returns: every
+    /// worker dropped what it held, and the store keeps only weak
+    /// handles.
+    #[test]
+    fn no_prepared_trace_outlives_a_sweep() {
+        let cells: Vec<SimKey> = [WorkloadKind::GsmEncode, WorkloadKind::JpegDecode]
+            .into_iter()
+            .flat_map(|kind| {
+                [20, 40, 60]
+                    .map(|l2| cell(kind, IsaVariant::Mom, MemorySystemKind::VectorCache, l2))
+            })
+            .collect();
+        for threads in [1, 3] {
+            let mut r = Runner::small(3);
+            assert_eq!(run(&mut r, &cells, threads).fresh_cells(), cells.len());
+            assert_eq!(r.live_prepared(), 0, "{threads} workers");
+        }
     }
 
     /// A cell on an unregistered backend panics out of [`run`] at 1, 2

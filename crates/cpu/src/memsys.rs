@@ -2,7 +2,7 @@
 //! port schedulers, and accumulates bandwidth/activity counters.
 
 use crate::config::ProcessorConfig;
-use mom3d_isa::MemAccess;
+use mom3d_isa::{ExecClass, MemAccess};
 use mom3d_mem::{
     BackendId, BackendRegistry, BackendStats, BankedConfig, LineSet, MemHierarchy,
     VectorMemoryBackend,
@@ -118,7 +118,15 @@ impl MemorySystem {
         if self.ideal {
             return;
         }
-        warm(&mut self.hierarchy, trace, &mut self.blocks_buf, &mut self.line_set);
+        let accesses = trace.iter().filter_map(|i| {
+            let vector = match i.opcode.class() {
+                ExecClass::Mem => false,
+                ExecClass::VecMem => true,
+                _ => return None,
+            };
+            Some((i.mem.as_ref()?, vector, i.opcode.is_store()))
+        });
+        warm(&mut self.hierarchy, accesses, &mut self.blocks_buf, &mut self.line_set);
     }
 
     /// Performs a scalar or µSIMD access; returns its latency.
@@ -180,31 +188,30 @@ impl MemorySystem {
     }
 }
 
-/// Pre-touches every line `trace` references in `hierarchy` and clears
-/// its statistics. Only the access sequence and the cache geometry
-/// decide the resulting contents; the latencies play no part.
-pub(crate) fn warm(
+/// Pre-touches every line of `accesses` in `hierarchy`, in order, and
+/// clears its statistics. Each access is its descriptor, whether it is
+/// a vector access and whether it writes: what
+/// [`MemorySystem::warm_from_trace`] reads off a trace and
+/// [`crate::PreparedTrace`] off its decoded program. Only the access
+/// sequence and the cache geometry decide the resulting contents; the
+/// latencies play no part.
+pub(crate) fn warm<'a>(
     hierarchy: &mut MemHierarchy,
-    trace: &mom3d_isa::Trace,
+    accesses: impl IntoIterator<Item = (&'a MemAccess, bool, bool)>,
     blocks_buf: &mut Vec<(u64, u32)>,
     line_set: &mut LineSet,
 ) {
     let line_bytes = hierarchy.config().l2.line_bytes as u64;
-    for instr in trace.iter() {
-        let Some(mem) = &instr.mem else { continue };
-        match instr.opcode.class() {
-            mom3d_isa::ExecClass::Mem => {
-                hierarchy.scalar_access(mem.base, mem.elem_bytes, instr.opcode.is_store());
+    for (mem, vector, store) in accesses {
+        if vector {
+            blocks_buf.clear();
+            blocks_buf.extend(mem.blocks());
+            line_set.collect(blocks_buf, line_bytes);
+            for &line in line_set.lines() {
+                hierarchy.vector_line_access(line, store);
             }
-            mom3d_isa::ExecClass::VecMem => {
-                blocks_buf.clear();
-                blocks_buf.extend(mem.blocks());
-                line_set.collect(blocks_buf, line_bytes);
-                for &line in line_set.lines() {
-                    hierarchy.vector_line_access(line, instr.opcode.is_store());
-                }
-            }
-            _ => {}
+        } else {
+            hierarchy.scalar_access(mem.base, mem.elem_bytes, store);
         }
     }
     hierarchy.reset_stats();

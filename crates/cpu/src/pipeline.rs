@@ -193,6 +193,15 @@ impl DecodedProgram {
         });
     }
 
+    /// The memory ops in trace order, as warming replays them: each
+    /// one's descriptor, whether it is a vector access, and whether it
+    /// writes. A memory op without a descriptor has none to replay.
+    pub(crate) fn mem_ops(&self) -> impl Iterator<Item = (&MemAccess, bool, bool)> {
+        self.ops.iter().filter(|op| op.mem != NO_MEM).map(|op| {
+            (&self.mems[op.mem as usize], op.class == ExecClass::VecMem, op.is_store)
+        })
+    }
+
     /// Validates the trace for a backend with or without the 3D
     /// register file: the error of its first offending instruction, a
     /// 3D opcode on a backend without the 3D register file taking
@@ -281,14 +290,14 @@ impl Processor {
     /// # Errors
     ///
     /// As [`Processor::run`].
-    pub fn run_prepared(&self, prepared: &PreparedTrace<'_>) -> Result<Metrics, SimError> {
+    pub fn run_prepared(&self, prepared: &PreparedTrace) -> Result<Metrics, SimError> {
         self.run_on(prepared, true)
     }
 
     /// [`Processor::run`] and [`Processor::run_prepared`]: a warmed
     /// hierarchy comes from `prepared`'s shared copies when `shared`,
     /// and is warmed for this run alone otherwise.
-    fn run_on(&self, prepared: &PreparedTrace<'_>, shared: bool) -> Result<Metrics, SimError> {
+    fn run_on(&self, prepared: &PreparedTrace, shared: bool) -> Result<Metrics, SimError> {
         let cfg = &self.config;
         cfg.validate()?;
         let backend = BackendRegistry::get(cfg.memory.as_str())

@@ -13,36 +13,40 @@ use std::sync::Mutex;
 /// call on it, across threads too:
 ///
 /// * the decoded program: the per-instruction records the issue loop
-///   reads, and the first 3D opcode and first memory opcode without a
-///   descriptor, which validate the trace against any backend;
+///   reads, every memory op's descriptor, and the first 3D opcode and
+///   first memory opcode without a descriptor, which validate the trace
+///   against any backend;
 /// * the wakeup lists ([`WakeupLists`]), which depend only on the
 ///   trace. [`PreparedTrace::new`] builds both in one walk of the trace;
-/// * one warmed cache hierarchy per L1/L2 geometry, warmed by the first
-///   run that needs it. Warming depends only on the trace and the
-///   geometry, never on latencies, so each run clones the warmed
-///   hierarchy and re-times it to its own latencies
-///   ([`MemHierarchy::retime`]).
+/// * one warmed cache hierarchy per L1/L2 geometry, warmed from the
+///   decoded program's memory ops by the first run that needs it.
+///   Warming depends only on the trace and the geometry, never on
+///   latencies, so each run clones the warmed hierarchy and re-times it
+///   to its own latencies ([`MemHierarchy::retime`]).
 ///
-/// It holds an edge per dependence and a full tag array per geometry, so
-/// drop it once the trace's last run is done.
+/// It owns all of this and borrows nothing from the trace, so it can
+/// outlive the borrow it was built from and be shared behind an `Arc`.
+/// It holds an edge per dependence and a full tag array per geometry:
+/// the harness's per-trace store keeps only a weak handle to it, so it
+/// is freed as soon as the last holder, a worker with cells of the trace
+/// left, drops it.
 #[derive(Debug)]
-pub struct PreparedTrace<'t> {
-    trace: &'t Trace,
+pub struct PreparedTrace {
     program: DecodedProgram,
     wake: WakeupLists,
     warmed: Mutex<Vec<MemHierarchy>>,
 }
 
-impl<'t> PreparedTrace<'t> {
+impl PreparedTrace {
     /// Decodes `trace` and builds its wakeup lists, in one walk of it.
-    pub fn new(trace: &'t Trace) -> Self {
+    pub fn new(trace: &Trace) -> Self {
         let mut program = DecodedProgram::with_capacity(trace.len());
         let mut wake = WakeupBuilder::with_capacity(trace.len());
         for instr in trace.iter() {
             program.push(instr);
             wake.push(instr);
         }
-        PreparedTrace { trace, program, wake: wake.finish(), warmed: Mutex::new(Vec::new()) }
+        PreparedTrace { program, wake: wake.finish(), warmed: Mutex::new(Vec::new()) }
     }
 
     /// The trace's decoded program and validation facts.
@@ -55,10 +59,11 @@ impl<'t> PreparedTrace<'t> {
         &self.wake
     }
 
-    /// A hierarchy built from `config` and warmed by the trace.
+    /// A hierarchy built from `config` and warmed by the trace's memory
+    /// ops.
     pub(crate) fn warm(&self, config: HierarchyConfig) -> MemHierarchy {
         let mut h = MemHierarchy::new(config);
-        warm(&mut h, self.trace, &mut Vec::new(), &mut LineSet::new());
+        warm(&mut h, self.program.mem_ops(), &mut Vec::new(), &mut LineSet::new());
         h
     }
 
@@ -103,7 +108,9 @@ mod tests {
     /// Every registered backend at L2 latency 20, 40 and 60, the cells a
     /// sweep runs on one trace, shuffled; each run on one shared
     /// `PreparedTrace` (from two threads, as the sweep workers do)
-    /// equals a fresh `Processor::run`, errors included.
+    /// equals a fresh `Processor::run`, errors included, and the legacy
+    /// loop, which shares neither the decode nor the warming: it builds
+    /// its own `DepGraph` and warms by walking the trace.
     #[test]
     fn shared_state_runs_equal_fresh_runs_in_any_order() {
         for (kind, variant) in [
@@ -138,13 +145,14 @@ mod tests {
                     s.spawn(move || {
                         for cfg in half {
                             let p = Processor::new(*cfg);
-                            assert_eq!(
-                                p.run_prepared(prepared),
-                                p.run(trace),
+                            let shared = p.run_prepared(prepared);
+                            let cell = format!(
                                 "{kind} {variant} on {} at L2 {}",
                                 cfg.memory.as_str(),
                                 cfg.hierarchy.l2_latency
                             );
+                            assert_eq!(shared, p.run(trace), "{cell}: run");
+                            assert_eq!(shared, p.run_legacy(trace), "{cell}: run_legacy");
                         }
                     });
                 }
@@ -167,6 +175,60 @@ mod tests {
             assert_eq!(&prepared.warmed_hierarchy(cfg.hierarchy), fresh.hierarchy(), "L2 {l2}");
         }
         assert_eq!(prepared.warmed.lock().unwrap().len(), 1, "one geometry, one warm");
+    }
+
+    /// Warming from the decoded program's memory ops leaves exactly the
+    /// caches `MemorySystem::warm_from_trace` leaves by walking the
+    /// trace: on all 15 small-geometry traces and on a trace with a
+    /// memory op that has no descriptor, at the paper's L1/L2 geometry
+    /// and at a smaller one.
+    #[test]
+    fn warming_from_the_decoded_program_equals_warming_from_the_trace() {
+        use mom3d_isa::{Gpr, MomReg, TraceBuilder};
+        use mom3d_mem::CacheConfig;
+
+        let paper = ProcessorConfig::mom().with_memory(crate::MemorySystemKind::VectorCache3d);
+        let mut small = paper;
+        let (l1, l2) = (small.hierarchy.l1, small.hierarchy.l2);
+        small.hierarchy.l1 = CacheConfig { size_bytes: 4 * 1024, assoc: 4, ..l1 };
+        small.hierarchy.l2 = CacheConfig { size_bytes: 64 * 1024, line_bytes: 64, ..l2 };
+        let check = |name: &str, trace: &Trace| {
+            let prepared = PreparedTrace::new(trace);
+            for cfg in [paper, small] {
+                let mut walked = MemorySystem::new(&cfg);
+                walked.warm_from_trace(trace);
+                assert_eq!(
+                    &prepared.warm(cfg.hierarchy),
+                    walked.hierarchy(),
+                    "{name} at L1 {:?}, L2 {:?}",
+                    cfg.hierarchy.l1,
+                    cfg.hierarchy.l2
+                );
+            }
+        };
+        for kind in WorkloadKind::ALL {
+            for variant in IsaVariant::ALL {
+                let wl = Workload::build_small(kind, variant, 11)
+                    .unwrap_or_else(|e| panic!("{kind} {variant}: build failed: {e}"));
+                check(&format!("{kind} {variant}"), wl.trace());
+            }
+        }
+
+        // Scalar and vector loads and stores over shared lines, with the
+        // descriptor of one vector store removed.
+        let mut tb = TraceBuilder::new();
+        tb.set_vl(8);
+        let b = tb.li(Gpr::new(1), 0x4000);
+        for i in 0..6u64 {
+            let v = tb.vload(MomReg::new(0), b, 0x4000 + 0x100 * i);
+            tb.store_scalar(Gpr::new(2), b, 0x4010 + 0x100 * i, 8);
+            tb.vstore(v, b, 0x4080 + 0x100 * i);
+            tb.load_scalar(Gpr::new(3), b, 0x4088 + 0x100 * i, 4);
+        }
+        let mut instrs = tb.finish().instrs().to_vec();
+        let bare = instrs.iter().rposition(|i| i.opcode == mom3d_isa::Opcode::VStore);
+        assert!(instrs[bare.expect("a vector store")].mem.take().is_some());
+        check("descriptorless vector store", &instrs.into_iter().collect());
     }
 
     /// A trace with a 3D opcode and a memory opcode without descriptor
