@@ -9,8 +9,13 @@
 //! Run on the most memory-bound workload (mpeg2 encode) for MOM and
 //! MOM+3D. Each of the three traces (MOM, MOM+3D and the shift&mask
 //! trick) is prepared once and every configuration runs on it.
+//!
+//! ```text
+//! ablation [SEED] [--cache-dir PATH]
+//! ```
 
-use mom3d_bench::{runner_from_args, sweep};
+use mom3d_bench::cli::{parse_ablation_args, parse_or_exit, ABLATION_USAGE};
+use mom3d_bench::{sweep, Runner};
 use mom3d_cpu::{
     BackendId, BackendRegistry, MemorySystemKind, Metrics, PreparedTrace, Processor,
     ProcessorConfig,
@@ -27,8 +32,9 @@ fn on(mem: impl Into<BackendId>) -> ProcessorConfig {
 }
 
 fn main() {
-    let mut r = runner_from_args();
-    let seed = r.seed();
+    let args = parse_or_exit(parse_ablation_args, ABLATION_USAGE);
+    let seed = args.seed();
+    let mut r = Runner::new(seed).with_cache(args.cache());
     // Build + verify the two trace variants concurrently (both are
     // full-size mpeg2 encode, the most expensive workload to verify) —
     // or load them straight from the workload-image cache.
@@ -38,7 +44,7 @@ fn main() {
             (WorkloadKind::Mpeg2Encode, IsaVariant::Mom),
             (WorkloadKind::Mpeg2Encode, IsaVariant::Mom3d),
         ],
-        sweep::threads_from_env(),
+        sweep::default_threads(),
     );
     let mut prepare = |variant| {
         PreparedTrace::new(r.workload_arc(WorkloadKind::Mpeg2Encode, variant).trace())

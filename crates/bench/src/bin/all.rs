@@ -1,5 +1,8 @@
 //! Runs the complete experiment matrix in paper order — the run behind
-//! the committed `RESULTS.md` paper-fidelity record.
+//! the committed `RESULTS.md` paper-fidelity record, and the one binary
+//! that prints the paper's outputs: Table 2, Figures 3, 6 and 7,
+//! Tables 1 and 3, Figures 9 and 10, Table 4 and Figure 11, each block
+//! separated by one blank line.
 //!
 //! The whole matrix is simulated up front by the parallel sweep engine;
 //! the figure and table formatters below then read the pre-filled
@@ -10,13 +13,13 @@
 //! all [SEED] [--threads N] [--json PATH] [--all-backends] [--small] [--cache-dir PATH]
 //! ```
 //!
-//! `--threads` and `--json` override the `MOM3D_SWEEP_THREADS` and
-//! `MOM3D_SWEEP_JSON` environment variables; `--all-backends` extends
+//! `--threads` sets the sweep's worker count (default: every core) and
+//! `--json` the report path; `--all-backends` extends
 //! the sweep to every backend in the memory-backend registry and
 //! appends the registry-driven backend matrix to the report;
 //! `--small` sweeps the reduced integration-test geometry (a fast
 //! whole-pipeline smoke, e.g. for CI checks of the JSON schema);
-//! `--cache-dir` (or `MOM3D_WORKLOAD_CACHE`) enables the
+//! `--cache-dir` enables the
 //! cross-invocation workload-image cache, so a warm start skips every
 //! workload build+verify — the hit/miss counters are printed on stderr
 //! and embedded in the JSON report.

@@ -11,10 +11,9 @@
 //! ```
 //!
 //! Defaults: seed 7, `--tcp 127.0.0.1:7733`, full geometry, one
-//! simulation worker per core. `--cache-dir` (or
-//! `MOM3D_WORKLOAD_CACHE`) hydrates workloads from the on-disk image
-//! cache; `--prebuild` builds every paper workload at boot so the first
-//! request is already warm. The process runs until a client sends
+//! simulation worker per core. `--cache-dir` hydrates workloads from
+//! the on-disk image cache; `--prebuild` builds every paper workload at
+//! boot so the first request is already warm. The process runs until a client sends
 //! `SHUTDOWN` (e.g. `mom3d-load` in `--stop` mode, or any protocol
 //! client).
 //!

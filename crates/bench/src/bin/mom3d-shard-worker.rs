@@ -6,7 +6,7 @@
 //! result back, until the coordinator grants an empty batch:
 //!
 //! ```text
-//! mom3d-shard-worker (--tcp ADDR | --unix PATH) [--id N] [--threads N]
+//! mom3d-shard-worker (--tcp ADDR | --unix PATH) [--id N]
 //!                    [--cache-dir PATH] [--abort-after N]
 //! ```
 //!

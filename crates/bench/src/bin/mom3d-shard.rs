@@ -6,7 +6,7 @@
 //! cell) to a single-process `all` run over the same grid:
 //!
 //! ```text
-//! mom3d-shard [SEED] [--workers N] [--worker-threads N] [--batch N]
+//! mom3d-shard [SEED] [--workers N] [--batch N]
 //!             [--grid full|extended] [--small] [--manifest PATH]
 //!             [--resume] [--json PATH] [--cache-dir PATH]
 //!             [--tcp ADDR | --unix PATH]

@@ -25,14 +25,14 @@
 //! after verifying the server runs the same seed and geometry.
 
 use mom3d_bench::cli::{parse_or_exit, parse_tune_args, TUNE_USAGE};
-use mom3d_bench::tune::{tune, Executor, LocalExec, RemoteExec, TuneReport};
+use mom3d_bench::tune::{tune, Executor, TuneReport};
 use mom3d_bench::Runner;
 
 fn main() {
     let args = parse_or_exit(parse_tune_args, TUNE_USAGE);
     let cfg = args.tune_config();
     let report: Result<TuneReport, String> = match &args.coordinator {
-        Some(endpoint) => match RemoteExec::connect(endpoint, cfg.seed, cfg.small) {
+        Some(endpoint) => match Executor::connect(endpoint, cfg.seed, cfg.small) {
             Ok(mut exec) => {
                 println!("tuning via {}", exec.describe());
                 tune(&cfg, &mut exec)
@@ -43,7 +43,7 @@ fn main() {
             let mut runner =
                 if cfg.small { Runner::small(cfg.seed) } else { Runner::new(cfg.seed) }
                     .with_cache(args.cache());
-            let mut exec = LocalExec { runner: &mut runner, threads: args.threads() };
+            let mut exec = Executor::Local { runner: &mut runner, threads: args.threads() };
             println!("tuning via {}", exec.describe());
             tune(&cfg, &mut exec)
         }

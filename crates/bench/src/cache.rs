@@ -20,15 +20,13 @@
 //!
 //! A corrupt cache can therefore cost time, never correctness.
 //!
-//! Configuration: the `MOM3D_WORKLOAD_CACHE` environment variable or
-//! the `--cache-dir PATH` flag every experiment binary accepts (the
-//! flag wins). Hit/miss/rejected counters are exposed via
+//! Configuration: the `--cache-dir PATH` flag of every binary that
+//! simulates. Hit/miss/rejected counters are exposed via
 //! [`WorkloadCache::stats`]; the `all` binary prints them on stderr and
 //! embeds them in `BENCH_sweep.json`.
 
 use crate::faults::{ShimFile, WriteFault};
 use mom3d_kernels::{decode_workload, encode_workload, ImageKey, Workload, WORKLOAD_IMAGE_VERSION};
-use std::ffi::OsStr;
 use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -99,40 +97,6 @@ impl WorkloadCache {
             store_warned: AtomicBool::new(false),
             store_fault: Mutex::new(None),
         })
-    }
-
-    /// Cache from the `MOM3D_WORKLOAD_CACHE` environment variable:
-    /// unset → no cache; set but empty → warning and no cache; set to a
-    /// path → [`WorkloadCache::open`] (which itself falls back with a
-    /// warning when the path is unusable).
-    pub fn from_env() -> Option<WorkloadCache> {
-        Self::from_env_value(std::env::var_os("MOM3D_WORKLOAD_CACHE").as_deref())
-    }
-
-    /// The parsing/fallback policy behind [`WorkloadCache::from_env`],
-    /// separated from the environment so it can be tested without
-    /// `set_var` (unsound next to concurrent `getenv` in a parallel
-    /// test binary).
-    pub fn from_env_value(raw: Option<&OsStr>) -> Option<WorkloadCache> {
-        let raw = raw?;
-        if raw.is_empty() {
-            eprintln!(
-                "warning: MOM3D_WORKLOAD_CACHE is set but empty; running without a workload cache"
-            );
-            return None;
-        }
-        Self::open(PathBuf::from(raw))
-    }
-
-    /// Resolves the effective cache: the `--cache-dir` flag when given,
-    /// else the environment. A flag pointing at an unusable directory
-    /// still degrades to no-cache (with the warning), mirroring the
-    /// env-var policy.
-    pub fn resolve(flag: Option<&Path>) -> Option<WorkloadCache> {
-        match flag {
-            Some(dir) => Self::open(dir),
-            None => Self::from_env(),
-        }
     }
 
     /// The cache directory.
@@ -297,20 +261,6 @@ mod tests {
             .join(format!("mom3d-cache-unit-{}-{name}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         dir
-    }
-
-    #[test]
-    fn env_value_policy() {
-        // Unset: silently no cache.
-        assert!(WorkloadCache::from_env_value(None).is_none());
-        // Empty: warns (on stderr) and runs uncached instead of erroring.
-        assert!(WorkloadCache::from_env_value(Some(OsStr::new(""))).is_none());
-        // A usable path opens.
-        let dir = temp_dir("env");
-        let cache = WorkloadCache::from_env_value(Some(dir.as_os_str()));
-        assert!(cache.is_some());
-        assert_eq!(cache.unwrap().dir(), dir.as_path());
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -12,9 +12,8 @@
 //! the table has run, so each grammar's `parse_*_args` ends with the few
 //! checks that span fields, such as `--resume` needing `--manifest`.
 //!
-//! Flags win over the environment variables they shadow
-//! (`MOM3D_SWEEP_THREADS`, `MOM3D_SWEEP_JSON`, `MOM3D_WORKLOAD_CACHE`).
-//! Binaries call [`parse_or_exit`], which prints the error and the
+//! Flags are the only settings: no environment variable stands in for
+//! one. Binaries call [`parse_or_exit`], which prints the error and the
 //! grammar's usage string and exits with status 2.
 
 use crate::cache::WorkloadCache;
@@ -132,9 +131,8 @@ fn cache_dir<T>() -> Flag<T> {
 }
 
 /// `--threads N`, one rule for every binary: zero is not a thread
-/// count, so it warns and leaves the binary's default in place (the
-/// environment or every core for a sweep, every core for a server or
-/// worker).
+/// count, so it warns and leaves the binary's default (every core) in
+/// place.
 fn threads<T>() -> Flag<T> {
     ("--threads", Some("a value"), |s, f, v| {
         let n = int(f, v)?;
@@ -172,10 +170,9 @@ fn chaos_profile<T>() -> Flag<T> {
 pub struct AllArgs {
     /// Workload data seed (positional; default 7).
     pub seed: Option<u64>,
-    /// `--threads N`: sweep worker count (overrides
-    /// `MOM3D_SWEEP_THREADS`).
+    /// `--threads N`: sweep worker count.
     pub threads: Option<usize>,
-    /// `--json PATH`: sweep report path (overrides `MOM3D_SWEEP_JSON`).
+    /// `--json PATH`: sweep report path.
     pub json: Option<PathBuf>,
     /// `--all-backends`: sweep and report every registered backend, not
     /// just the four paper organizations.
@@ -184,8 +181,7 @@ pub struct AllArgs {
     /// geometry) — a fast smoke of the whole pipeline, e.g. for CI
     /// schema checks of `BENCH_sweep.json`.
     pub small: bool,
-    /// `--cache-dir PATH`: workload-image cache directory (overrides
-    /// `MOM3D_WORKLOAD_CACHE`).
+    /// `--cache-dir PATH`: workload-image cache directory.
     pub cache_dir: Option<PathBuf>,
 }
 
@@ -195,26 +191,27 @@ impl AllArgs {
         self.seed.unwrap_or(7)
     }
 
-    /// Effective worker count: the flag, else the environment/default
-    /// ([`crate::sweep::threads_from_env`]).
+    /// Effective worker count: the flag, else every core
+    /// ([`crate::sweep::default_threads`]).
     pub fn threads(&self) -> usize {
-        self.threads.unwrap_or_else(crate::sweep::threads_from_env)
+        self.threads.unwrap_or_else(crate::sweep::default_threads)
     }
 
-    /// Effective JSON path: the flag, else the environment/default
-    /// ([`crate::sweep::json_path_from_env`]).
+    /// Effective JSON path: the flag, else `BENCH_sweep.json`.
     pub fn json_path(&self) -> PathBuf {
-        self.json.clone().unwrap_or_else(crate::sweep::json_path_from_env)
+        self.json.clone().unwrap_or_else(|| PathBuf::from(SWEEP_JSON))
     }
 
-    /// Effective workload-image cache: the `--cache-dir` flag, else the
-    /// `MOM3D_WORKLOAD_CACHE` environment variable, else none. An
-    /// unusable directory degrades to no-cache with a warning (see
-    /// [`WorkloadCache`]).
+    /// Effective workload-image cache: the `--cache-dir` flag, else
+    /// none. An unusable directory degrades to no-cache with a warning
+    /// (see [`WorkloadCache::open`]).
     pub fn cache(&self) -> Option<WorkloadCache> {
-        WorkloadCache::resolve(self.cache_dir.as_deref())
+        self.cache_dir.as_deref().and_then(WorkloadCache::open)
     }
 }
+
+/// The sweep report's path when `--json` is not given.
+const SWEEP_JSON: &str = "BENCH_sweep.json";
 
 /// Usage string printed on parse errors.
 pub const ALL_USAGE: &str = "usage: all [SEED] [--threads N] [--json PATH] [--all-backends] \
@@ -240,18 +237,17 @@ where
     Ok(AllArgs { seed: s.seed, threads: s.threads, cache_dir: s.cache_dir, ..s.args })
 }
 
-/// Arguments shared by every figure/table binary: the conventional
-/// optional seed plus the workload-image cache directory.
+/// The `ablation` arguments: the conventional optional seed plus the
+/// workload-image cache directory.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct CommonArgs {
+pub struct AblationArgs {
     /// Workload data seed (positional; default 7).
     pub seed: Option<u64>,
-    /// `--cache-dir PATH`: workload-image cache directory (overrides
-    /// `MOM3D_WORKLOAD_CACHE`).
+    /// `--cache-dir PATH`: workload-image cache directory.
     pub cache_dir: Option<PathBuf>,
 }
 
-impl CommonArgs {
+impl AblationArgs {
     /// The seed to use.
     pub fn seed(&self) -> u64 {
         self.seed.unwrap_or(7)
@@ -259,26 +255,26 @@ impl CommonArgs {
 
     /// Effective workload-image cache (see [`AllArgs::cache`]).
     pub fn cache(&self) -> Option<WorkloadCache> {
-        WorkloadCache::resolve(self.cache_dir.as_deref())
+        self.cache_dir.as_deref().and_then(WorkloadCache::open)
     }
 }
 
-/// Usage string for the shared figure/table grammar.
-pub const COMMON_USAGE: &str = "usage: <binary> [SEED] [--cache-dir PATH]";
+/// Usage string for the `ablation` grammar.
+pub const ABLATION_USAGE: &str = "usage: ablation [SEED] [--cache-dir PATH]";
 
-/// Parses the shared `[SEED] [--cache-dir PATH]` grammar (without the
-/// program name).
+/// Parses the `[SEED] [--cache-dir PATH]` grammar of `ablation`
+/// (without the program name).
 ///
 /// # Errors
 ///
 /// Returns a human-readable message for unknown flags, missing flag
 /// values, malformed seeds and duplicate positional seeds.
-pub fn parse_common_args<I>(args: I) -> Result<CommonArgs, String>
+pub fn parse_ablation_args<I>(args: I) -> Result<AblationArgs, String>
 where
     I: IntoIterator<Item = String>,
 {
     let s = parse_grammar::<()>(args, Positional::Seed, &[cache_dir()])?;
-    Ok(CommonArgs { seed: s.seed, cache_dir: s.cache_dir })
+    Ok(AblationArgs { seed: s.seed, cache_dir: s.cache_dir })
 }
 
 /// Parsed `mom3d-shard` arguments.
@@ -292,7 +288,7 @@ pub struct ShardArgs {
     /// `--tcp ADDR | --unix PATH` (default: TCP with a kernel-assigned
     /// port).
     pub endpoint: Option<Endpoint>,
-    /// `--json PATH`: merged-report path (overrides `MOM3D_SWEEP_JSON`).
+    /// `--json PATH`: merged-report path.
     pub json: Option<PathBuf>,
 }
 
@@ -304,15 +300,15 @@ impl ShardArgs {
         self.endpoint.clone().unwrap_or_else(|| Endpoint::Tcp("127.0.0.1:0".into()))
     }
 
-    /// Effective JSON path: the flag, else the environment/default.
+    /// Effective JSON path: the flag, else `BENCH_sweep.json`.
     pub fn json_path(&self) -> PathBuf {
-        self.json.clone().unwrap_or_else(crate::sweep::json_path_from_env)
+        self.json.clone().unwrap_or_else(|| PathBuf::from(SWEEP_JSON))
     }
 }
 
 /// Usage string printed on `mom3d-shard` parse errors.
-pub const SHARD_USAGE: &str = "usage: mom3d-shard [SEED] [--workers N] [--worker-threads N] \
-                               [--batch N] [--grid full|extended] [--small] [--manifest PATH] \
+pub const SHARD_USAGE: &str = "usage: mom3d-shard [SEED] [--workers N] [--batch N] \
+                               [--grid full|extended] [--small] [--manifest PATH] \
                                [--resume] [--json PATH] [--cache-dir PATH] \
                                [--tcp ADDR | --unix PATH] \
                                [--chaos-seed N] [--chaos-profile P]";
@@ -330,9 +326,6 @@ where
 {
     let s = parse_grammar::<ShardArgs>(args, Positional::Seed, &[
         ("--workers", Some("a value"), |s, f, v| set(&mut s.args.config.workers, int(f, v)?)),
-        ("--worker-threads", Some("a value"), |s, f, v| {
-            set(&mut s.args.config.worker_threads, int(f, v)?)
-        }),
         ("--batch", Some("a value"), |s, f, v| set(&mut s.args.config.batch, int(f, v)?)),
         ("--grid", Some("full|extended"), |s, _, v| match v {
             "full" | "extended" => set(&mut s.args.extended, v == "extended"),
@@ -371,8 +364,7 @@ pub struct ShardWorkerArgs {
 
 /// Usage string printed on `mom3d-shard-worker` parse errors.
 pub const SHARD_WORKER_USAGE: &str = "usage: mom3d-shard-worker (--tcp ADDR | --unix PATH) \
-                                      [--id N] [--threads N] [--cache-dir PATH] \
-                                      [--abort-after N]";
+                                      [--id N] [--cache-dir PATH] [--abort-after N]";
 
 /// Parses the `mom3d-shard-worker` arguments (without the program
 /// name).
@@ -389,15 +381,13 @@ where
         tcp(),
         unix(),
         ("--id", Some("a value"), |s, f, v| set(&mut s.args.id, int(f, v)?)),
-        threads(),
         cache_dir(),
         ("--abort-after", Some("a value"), |s, f, v| {
             set(&mut s.args.abort_after, Some(int(f, v)?))
         }),
     ])?;
     let endpoint = s.endpoint.ok_or("a worker needs --tcp ADDR or --unix PATH")?;
-    let config =
-        WorkerConfig { threads: s.threads.unwrap_or(0), cache_dir: s.cache_dir, ..s.args };
+    let config = WorkerConfig { cache_dir: s.cache_dir, ..s.args };
     Ok(ShardWorkerArgs { endpoint, config })
 }
 
@@ -438,7 +428,7 @@ impl TuneArgs {
 
     /// Effective worker count (see [`AllArgs::threads`]).
     pub fn threads(&self) -> usize {
-        self.threads.unwrap_or_else(crate::sweep::threads_from_env)
+        self.threads.unwrap_or_else(crate::sweep::default_threads)
     }
 
     /// Effective JSON path.
@@ -448,7 +438,7 @@ impl TuneArgs {
 
     /// Effective workload-image cache (see [`AllArgs::cache`]).
     pub fn cache(&self) -> Option<WorkloadCache> {
-        WorkloadCache::resolve(self.cache_dir.as_deref())
+        self.cache_dir.as_deref().and_then(WorkloadCache::open)
     }
 
     /// The search configuration these arguments describe. `--smoke`
@@ -555,7 +545,7 @@ where
     let config = ServeConfig {
         seed: s.seed.unwrap_or(7),
         threads: s.threads.unwrap_or(0),
-        cache: WorkloadCache::resolve(s.cache_dir.as_deref()),
+        cache: s.cache_dir.as_deref().and_then(WorkloadCache::open),
         chaos: s.chaos()?,
         ..s.args
     };
@@ -647,8 +637,8 @@ mod tests {
         parse_all_args(args.iter().map(|s| s.to_string()))
     }
 
-    fn parse_common(args: &[&str]) -> Result<CommonArgs, String> {
-        parse_common_args(args.iter().map(|s| s.to_string()))
+    fn parse_ablation(args: &[&str]) -> Result<AblationArgs, String> {
+        parse_ablation_args(args.iter().map(|s| s.to_string()))
     }
 
     #[test]
@@ -679,22 +669,21 @@ mod tests {
     }
 
     #[test]
-    fn flags_win_over_env() {
-        // threads() prefers the flag; with no flag it falls back to
-        // threads_from_env (>= 1 whatever the environment says).
+    fn flags_win_over_defaults() {
         let a = parse(&["--threads", "5"]).unwrap();
         assert_eq!(a.threads(), 5);
         let b = parse(&[]).unwrap();
-        assert!(b.threads() >= 1);
+        assert_eq!(b.threads(), crate::sweep::default_threads());
+        assert_eq!(b.json_path(), PathBuf::from("BENCH_sweep.json"));
         let c = parse(&["--json", "x.json"]).unwrap();
         assert_eq!(c.json_path(), PathBuf::from("x.json"));
     }
 
     #[test]
     fn threads_zero_warns_and_falls_back() {
-        // `--threads 0` follows the env-var policy (warn + fall back)
-        // instead of erroring: the parse succeeds with no override, and
-        // the effective count is the environment/default (>= 1).
+        // `--threads 0` warns and falls back instead of erroring: the
+        // parse succeeds with no override, and the effective count is
+        // the default (>= 1).
         let a = parse(&["--threads", "0"]).unwrap();
         assert_eq!(a.threads, None);
         assert!(a.threads() >= 1);
@@ -723,18 +712,18 @@ mod tests {
     }
 
     #[test]
-    fn common_args_grammar() {
-        assert_eq!(parse_common(&[]).unwrap(), CommonArgs::default());
-        assert_eq!(parse_common(&[]).unwrap().seed(), 7);
-        let a = parse_common(&["42", "--cache-dir", "imgs"]).unwrap();
+    fn ablation_grammar() {
+        assert_eq!(parse_ablation(&[]).unwrap(), AblationArgs::default());
+        assert_eq!(parse_ablation(&[]).unwrap().seed(), 7);
+        let a = parse_ablation(&["42", "--cache-dir", "imgs"]).unwrap();
         assert_eq!(a.seed(), 42);
         assert_eq!(a.cache_dir, Some(PathBuf::from("imgs")));
-        let b = parse_common(&["--cache-dir", "imgs", "42"]).unwrap();
+        let b = parse_ablation(&["--cache-dir", "imgs", "42"]).unwrap();
         assert_eq!(a, b, "flag/positional order must not matter");
-        assert!(parse_common(&["--cache-dir"]).unwrap_err().contains("--cache-dir"));
-        assert!(parse_common(&["--nope"]).unwrap_err().contains("unknown flag"));
-        assert!(parse_common(&["1", "2"]).unwrap_err().contains("second positional"));
-        assert!(parse_common(&["x"]).unwrap_err().contains("not an integer"));
+        assert!(parse_ablation(&["--cache-dir"]).unwrap_err().contains("--cache-dir"));
+        assert!(parse_ablation(&["--nope"]).unwrap_err().contains("unknown flag"));
+        assert!(parse_ablation(&["1", "2"]).unwrap_err().contains("second positional"));
+        assert!(parse_ablation(&["x"]).unwrap_err().contains("not an integer"));
     }
 
     fn parse_shard(args: &[&str]) -> Result<ShardArgs, String> {
@@ -755,14 +744,13 @@ mod tests {
         assert_eq!(a.endpoint(), Endpoint::Tcp("127.0.0.1:0".into()));
 
         let b = parse_shard(&[
-            "42", "--workers", "3", "--worker-threads", "2", "--batch", "5", "--grid", "extended",
+            "42", "--workers", "3", "--batch", "5", "--grid", "extended",
             "--small", "--manifest", "m.mwm", "--resume", "--json", "out.json", "--cache-dir",
             "imgs", "--unix", "/tmp/s.sock",
         ])
         .unwrap();
         assert_eq!(b.config.seed, 42);
         assert_eq!(b.config.workers, 3);
-        assert_eq!(b.config.worker_threads, 2);
         assert_eq!(b.config.batch, 5);
         assert!(b.extended && b.config.small && b.config.resume);
         assert_eq!(b.config.manifest, Some(PathBuf::from("m.mwm")));
@@ -864,12 +852,11 @@ mod tests {
 
     #[test]
     fn shard_worker_grammar() {
-        let a = parse_worker(&["--tcp", "127.0.0.1:7", "--id", "3", "--threads", "2",
-            "--cache-dir", "imgs", "--abort-after", "4"])
+        let a = parse_worker(&["--tcp", "127.0.0.1:7", "--id", "3", "--cache-dir", "imgs",
+            "--abort-after", "4"])
         .unwrap();
         assert_eq!(a.endpoint, Endpoint::Tcp("127.0.0.1:7".into()));
         assert_eq!(a.config.id, 3);
-        assert_eq!(a.config.threads, 2);
         assert_eq!(a.config.cache_dir, Some(PathBuf::from("imgs")));
         assert_eq!(a.config.abort_after, Some(4));
 
@@ -976,7 +963,6 @@ mod tests {
 
     #[test]
     fn threads_zero_keeps_every_default() {
-        assert_eq!(parse_worker(&["--tcp", "a:1", "--threads", "0"]).unwrap().config.threads, 0);
         assert_eq!(parse(&["--threads", "2", "--threads", "0"]).unwrap().threads, None);
     }
 }

@@ -1,47 +1,41 @@
 //! # mom3d-bench — the experiment harness
 //!
-//! Regenerates every table and figure of the paper's evaluation:
+//! Regenerates every table and figure of the paper's evaluation. One
+//! binary per job:
 //!
-//! | Binary | Paper result |
-//! |--------|--------------|
-//! | `fig3` | slowdown of realistic memory systems (MOM) |
-//! | `fig6` | effective memory bandwidth (words/access) |
-//! | `fig7` | vector-cache traffic reduction from 3D reuse |
-//! | `fig9` | slowdown across ISA × memory-system configurations |
-//! | `fig10` | normalized execution time vs. L2 latency (20/40/60) |
-//! | `fig11` | L2 + 3D-RF average power per memory system |
-//! | `table1` | per-dimension vector lengths of memory instructions |
-//! | `table2` | processor configurations |
-//! | `table3` | register-file areas (exact reproduction) |
-//! | `table4` | L2 cache activity |
-//! | `all` | everything above in paper order |
+//! | Binary | Job |
+//! |--------|-----|
+//! | `all` | every paper output in paper order: Table 2, Figures 3, 6 and 7, Tables 1 and 3, Figures 9 and 10, Table 4, Figure 11 |
 //! | `ablation` | beyond-paper ablations + a registry-driven sweep of every memory backend |
+//! | `mom3d-serve` | the resident simulation server |
+//! | `mom3d-load` | seeded, bit-checked load against a server |
+//! | `mom3d-shard` | a sweep partitioned over worker processes |
+//! | `mom3d-shard-worker` | one worker of a sharded sweep |
+//! | `mom3d-tune` | the design-space autotuner |
 //!
 //! Every binary except `mom3d-load` and `mom3d-shard-worker` accepts an
-//! optional seed argument (`cargo run -p mom3d-bench --bin fig9 -- 42`);
+//! optional seed argument (`cargo run -p mom3d-bench --bin all -- 42`);
 //! a worker takes its seed from the coordinator's grant. All of them
 //! parse their command line through [`cli`], so a mistyped flag exits
-//! with status 2 and the usage line. Workloads are verified
+//! with status 2 and the usage line. Flags are the only settings; no
+//! environment variable stands in for one. Workloads are verified
 //! against their scalar references before being timed, so the harness
 //! can only report numbers produced by functionally correct traces.
 //!
 //! Cold starts are cacheable across invocations: with `--cache-dir
-//! PATH` (or `MOM3D_WORKLOAD_CACHE`), built-and-verified workloads are
-//! persisted as versioned binary images and later invocations load
-//! them instead of rebuilding ([`WorkloadCache`], [`Runner`]'s
-//! `load_or_build`). Corrupt or stale images always fall back to a
-//! rebuild. On a cache miss the cold path itself is parallel: each
-//! worker of the sweep's per-trace task queue builds and verifies the
-//! trace it claims, then simulates on it ([`sweep::run`],
-//! [`sweep::prebuild_workloads`]).
+//! PATH`, built-and-verified workloads are persisted as versioned
+//! binary images and later invocations load them instead of rebuilding
+//! ([`WorkloadCache`], [`Runner`]'s `load_or_build`). Corrupt or stale
+//! images always fall back to a rebuild. On a cache miss the cold path
+//! itself is parallel: each worker of the sweep's per-trace task queue
+//! builds and verifies the trace it claims, then simulates on it
+//! ([`sweep::run`], [`sweep::prebuild_workloads`]).
 //!
 //! Every cell of the experiment matrix is an independent simulation, so
-//! the binaries fill the [`Runner`] cache through the parallel [`sweep`]
-//! engine (worker count: `--threads` on `all`, else
-//! `MOM3D_SWEEP_THREADS`, default all cores) and only then format their
-//! reports; `all` additionally writes the machine-readable
-//! `BENCH_sweep.json` with wall-clock per cell (`--json`/
-//! `MOM3D_SWEEP_JSON`).
+//! `all` fills the [`Runner`] cache through the parallel [`sweep`]
+//! engine (worker count: `--threads`, default all cores) and only then
+//! formats its reports; it also writes the machine-readable
+//! `BENCH_sweep.json` with wall-clock per cell (path: `--json`).
 //!
 //! Memory systems are open-ended: cells are keyed by
 //! [`mom3d_cpu::BackendId`], so any backend in the
@@ -125,12 +119,3 @@ pub use report::{
 };
 pub use runner::{Runner, SimKey, WorkloadTiming};
 
-/// The standard entry point of the figure/table binaries: parses the
-/// shared `[SEED] [--cache-dir PATH]` grammar from [`std::env::args`]
-/// and returns a full-geometry [`Runner`] with the workload-image cache
-/// resolved (flag, else `MOM3D_WORKLOAD_CACHE`, else none). Prints
-/// usage and exits with status 2 on a parse error.
-pub fn runner_from_args() -> Runner {
-    let args = cli::parse_or_exit(cli::parse_common_args, cli::COMMON_USAGE);
-    Runner::new(args.seed()).with_cache(args.cache())
-}

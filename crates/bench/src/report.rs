@@ -536,6 +536,14 @@ pub fn table4(r: &mut Runner) -> Table4 {
 mod tests {
     use super::*;
 
+    /// Table 3 is the one result reproduced exactly from the paper's
+    /// wire-track area model: any drift from the committed golden copy
+    /// (which CI also diffs against `all`'s stdout) is a regression.
+    #[test]
+    fn table3_matches_the_committed_golden_copy() {
+        assert_eq!(table3(), include_str!("../../../ci/table3.expected.txt"));
+    }
+
     /// Table 2's organizations section is registry-driven: every
     /// registered backend — including the ones no binary names — shows
     /// up with its id and self-description.

@@ -77,9 +77,6 @@ pub struct ShardConfig {
     /// and serve externally-launched workers only (how the in-process
     /// tests drive [`run_worker`] threads).
     pub workers: usize,
-    /// `--threads` passed to each spawned worker (0 = worker default:
-    /// all cores).
-    pub worker_threads: usize,
     /// Cells per grant (0 = auto: about four grants per worker, so
     /// stragglers leave stealable tails without per-cell claim
     /// round-trips).
@@ -109,7 +106,6 @@ impl Default for ShardConfig {
             seed: 7,
             small: false,
             workers: 2,
-            worker_threads: 0,
             batch: 0,
             manifest: None,
             resume: false,
@@ -145,9 +141,6 @@ fn spawn_worker(endpoint: &Endpoint, id: u32, config: &ShardConfig) -> io::Resul
         Endpoint::Unix(path) => cmd.arg("--unix").arg(path),
     };
     cmd.arg("--id").arg(id.to_string());
-    if config.worker_threads > 0 {
-        cmd.arg("--threads").arg(config.worker_threads.to_string());
-    }
     if let Some(dir) = &config.cache_dir {
         cmd.arg("--cache-dir").arg(dir);
     }
@@ -397,8 +390,9 @@ pub struct WorkerConfig {
     /// stats).
     pub id: u32,
     /// Inert: a worker simulates its grant on one thread and loads each
-    /// workload when it reaches the workload's first cell. Kept so
-    /// existing callers and `--threads` still parse.
+    /// workload when it reaches the workload's first cell, so nothing
+    /// reads this. It stays only because the benchmark's `sharded`
+    /// workload sets it; a change to the benchmark can remove both.
     pub threads: usize,
     /// Workload-image cache to hydrate workloads from.
     pub cache_dir: Option<PathBuf>,
@@ -532,7 +526,7 @@ pub fn run_worker(endpoint: &Endpoint, config: &WorkerConfig) -> io::Result<Work
                 progressed = true;
                 let runner = runner.get_or_insert_with(|| {
                     let base = if small { Runner::small(seed) } else { Runner::new(seed) };
-                    base.with_cache(WorkloadCache::resolve(config.cache_dir.as_deref()))
+                    base.with_cache(config.cache_dir.as_deref().and_then(WorkloadCache::open))
                 });
                 let mut completed: u32 = 0;
                 // Each run of one trace's cells holds that trace's state

@@ -28,18 +28,18 @@
 //!
 //! [`prebuild_workloads`] is the same queue with no cells.
 //!
-//! Worker count comes from [`threads_from_env`] (`MOM3D_SWEEP_THREADS`,
-//! default: all available cores). [`SweepReport::write_json`] emits a
-//! machine-readable `BENCH_sweep.json` with wall-clock per cell.
+//! Callers pass the worker count ([`default_threads`]: all available
+//! cores). [`SweepReport::write_json`] emits a machine-readable
+//! `BENCH_sweep.json` with wall-clock per cell.
 //!
 //! ```no_run
 //! use mom3d_bench::{fig9, sweep, Runner};
 //!
 //! let mut r = Runner::new(7);
-//! let report = sweep::run(&mut r, &sweep::full_grid(), sweep::threads_from_env());
+//! let report = sweep::run(&mut r, &sweep::full_grid(), sweep::default_threads());
 //! println!("{} cells in {:?}", report.cells.len(), report.wall);
 //! print!("{}", fig9(&mut r)); // served entirely from the cache
-//! report.write_json(&sweep::json_path_from_env()).unwrap();
+//! report.write_json("BENCH_sweep.json".as_ref()).unwrap();
 //! ```
 
 use crate::cache::CacheStats;
@@ -49,9 +49,8 @@ use crate::stats::Percentiles;
 use mom3d_cpu::{BackendId, BackendRegistry, MemorySystemKind, Metrics};
 use mom3d_kernels::{IsaVariant, Workload, WorkloadKind};
 use std::collections::{HashMap, HashSet};
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::ops::Range;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
@@ -292,49 +291,6 @@ pub fn default_threads() -> usize {
     std::thread::available_parallelism().map_or(1, |n| n.get())
 }
 
-/// Worker-thread count: `MOM3D_SWEEP_THREADS` when set to a positive
-/// integer, otherwise every available core. A set-but-invalid value
-/// (zero, non-numeric, non-unicode) falls back to the default with a
-/// warning on stderr — printed once per process, not once per call
-/// (every experiment binary consults this several times) — rather than
-/// being silently ignored.
-pub fn threads_from_env() -> usize {
-    threads_from_value(std::env::var_os("MOM3D_SWEEP_THREADS").as_deref())
-}
-
-/// Once-flag for the invalid-`MOM3D_SWEEP_THREADS` warning (the same
-/// dedupe idiom as `WorkloadCache::store_warned`).
-static THREADS_WARNED: AtomicBool = AtomicBool::new(false);
-
-/// The parsing/fallback policy behind [`threads_from_env`], separated
-/// from the environment so it can be tested without `set_var` (which
-/// is unsound next to concurrent `getenv` calls in a parallel test
-/// binary).
-fn threads_from_value(raw: Option<&std::ffi::OsStr>) -> usize {
-    let Some(raw) = raw else {
-        return default_threads();
-    };
-    match raw.to_str().and_then(|v| v.trim().parse::<usize>().ok()) {
-        Some(n) if n >= 1 => n,
-        _ => {
-            let fallback = default_threads();
-            if !THREADS_WARNED.swap(true, Ordering::Relaxed) {
-                eprintln!(
-                    "warning: MOM3D_SWEEP_THREADS={raw:?} is not a positive integer; \
-                     using the default ({fallback} threads)"
-                );
-            }
-            fallback
-        }
-    }
-}
-
-/// Where the JSON report goes: `MOM3D_SWEEP_JSON` when set, otherwise
-/// `BENCH_sweep.json` in the working directory.
-pub fn json_path_from_env() -> PathBuf {
-    std::env::var_os("MOM3D_SWEEP_JSON").map_or_else(|| PathBuf::from("BENCH_sweep.json"), PathBuf::from)
-}
-
 /// Makes every listed workload resident in the runner's per-trace
 /// store: [`run`]'s task queue with no cells, so `threads` workers each
 /// claim a pair and load it from the runner's workload-image cache (when
@@ -516,7 +472,7 @@ fn cell(
 
 /// Figure 3 cells: MOM on ideal (baseline), multi-banked and vector
 /// cache, all workloads, 20-cycle L2.
-pub fn cells_fig3() -> Vec<SimKey> {
+fn cells_fig3() -> Vec<SimKey> {
     let mut cells = Vec::new();
     for kind in WorkloadKind::ALL {
         for memory in [
@@ -530,9 +486,9 @@ pub fn cells_fig3() -> Vec<SimKey> {
     cells
 }
 
-/// Figure 6 / Figure 11 / Table 4 cells: the three realistic memory
-/// systems under their native ISA variants.
-pub fn cells_fig6() -> Vec<SimKey> {
+/// Figure 6 / Figure 7 / Figure 11 / Table 4 cells: the three realistic
+/// memory systems under their native ISA variants.
+fn cells_fig6() -> Vec<SimKey> {
     let mut cells = Vec::new();
     for kind in WorkloadKind::ALL {
         cells.push(cell(kind, IsaVariant::Mom, MemorySystemKind::MultiBanked, 20));
@@ -542,20 +498,8 @@ pub fn cells_fig6() -> Vec<SimKey> {
     cells
 }
 
-/// Figure 7 cells: MOM vs MOM+3D traffic on the vector cache only (the
-/// multi-banked column of [`cells_fig6`] is not read by the Figure 7
-/// formatter).
-pub fn cells_fig7() -> Vec<SimKey> {
-    let mut cells = Vec::new();
-    for kind in WorkloadKind::ALL {
-        cells.push(cell(kind, IsaVariant::Mom, MemorySystemKind::VectorCache, 20));
-        cells.push(cell(kind, IsaVariant::Mom3d, MemorySystemKind::VectorCache3d, 20));
-    }
-    cells
-}
-
 /// Figure 9 cells: the full ISA × memory-system slowdown matrix.
-pub fn cells_fig9() -> Vec<SimKey> {
+fn cells_fig9() -> Vec<SimKey> {
     let mut cells = Vec::new();
     for kind in WorkloadKind::ALL {
         cells.push(cell(kind, IsaVariant::Mom, MemorySystemKind::Ideal, 20));
@@ -570,7 +514,7 @@ pub fn cells_fig9() -> Vec<SimKey> {
 
 /// Figure 10 cells: the L2-latency sweep (20/40/60 cycles) on the four
 /// workloads the paper plots.
-pub fn cells_fig10() -> Vec<SimKey> {
+fn cells_fig10() -> Vec<SimKey> {
     let kinds = [
         WorkloadKind::Mpeg2Decode,
         WorkloadKind::Mpeg2Encode,
@@ -587,16 +531,9 @@ pub fn cells_fig10() -> Vec<SimKey> {
     cells
 }
 
-/// Workload pairs Table 1 needs (trace statistics only — no simulation).
-pub fn pairs_table1() -> Vec<(WorkloadKind, IsaVariant)> {
-    WorkloadKind::ALL
-        .into_iter()
-        .flat_map(|k| [(k, IsaVariant::Mom), (k, IsaVariant::Mom3d)])
-        .collect()
-}
-
-/// Every cell any figure or table binary needs — the `all` binary's
-/// sweep, and the full-geometry Figure 9 reproduction grid.
+/// Every cell any paper figure or table needs — the `all` binary's
+/// sweep: the cells of Figures 3, 6 and 9, then Figure 10's extra
+/// latencies, each key at its first occurrence.
 pub fn full_grid() -> Vec<SimKey> {
     let mut cells = Vec::new();
     cells.extend(cells_fig3());
@@ -664,15 +601,10 @@ mod tests {
     use std::sync::Arc;
 
     #[test]
-    fn full_grid_has_no_duplicates_and_covers_figures() {
+    fn full_grid_has_no_duplicates() {
         let grid = full_grid();
         let set: HashSet<_> = grid.iter().copied().collect();
         assert_eq!(set.len(), grid.len());
-        for cells in [cells_fig3(), cells_fig6(), cells_fig7(), cells_fig9(), cells_fig10()] {
-            for c in cells {
-                assert!(set.contains(&c), "{c:?} missing from full grid");
-            }
-        }
         // 5 workloads x 6 fig9 configs + fig10 extras; everything else
         // overlaps.
         assert_eq!(grid.len(), 30 + 4 * 2 * 2);
@@ -870,29 +802,11 @@ mod tests {
     }
 
     #[test]
-    fn threads_env_parsing() {
-        // Exercised through the pure value parser: mutating the real
-        // environment here would race the concurrent `getenv` calls of
-        // other tests in this binary.
-        let default = default_threads();
-        let parse = |v: Option<&str>| threads_from_value(v.map(std::ffi::OsStr::new));
-        assert_eq!(parse(None), default);
-        assert_eq!(parse(Some("3")), 3);
-        assert_eq!(parse(Some(" 8 ")), 8, "surrounding whitespace is tolerated");
-        // Invalid values fall back to the default (with a warning on
-        // stderr) instead of being silently ignored.
-        for bad in ["0", "-2", "lots", "", " "] {
-            assert_eq!(parse(Some(bad)), default, "MOM3D_SWEEP_THREADS={bad:?}");
-        }
-        assert!(threads_from_env() >= 1);
-    }
-
-    #[test]
     fn extra_backend_cells_cover_registry_only_backends() {
         let extras = cells_extra_backends();
         // dram-burst, hbm-wide and pim-vector are registered but not
         // paper organizations, so the extended grid must pick each up
-        // for every workload — with no figure binary naming any of them.
+        // for every workload — with no binary naming any of them.
         for id in ["dram-burst", "hbm-wide", "pim-vector"] {
             let backend = BackendId::new(id);
             for kind in WorkloadKind::ALL {

@@ -26,9 +26,9 @@
 //!   [`SmallRng`] seeded from the tune seed, the workload and the
 //!   family id — same seed, same walk, bit for bit.
 //!
-//! Evaluations execute through an [`Executor`]: [`LocalExec`] drives
-//! the in-process parallel [`crate::sweep`] engine, [`RemoteExec`]
-//! batches cells to a resident `mom3d-serve` process over the binary
+//! Evaluations execute through an [`Executor`]: [`Executor::Local`]
+//! drives the in-process parallel [`crate::sweep`] engine,
+//! [`Executor::Remote`] batches cells to a resident `mom3d-serve` process over the binary
 //! [`crate::protocol`]. Either way a design point is just a [`SimKey`]
 //! with a parameterized backend id, so every number the tuner reports
 //! is bit-identical to what a direct [`crate::sweep::run`] of the same
@@ -102,8 +102,8 @@ impl TuneConfig {
     }
 }
 
-/// Once-flag for the invalid-`--params` warning (the same dedupe idiom
-/// as `MOM3D_SWEEP_THREADS`).
+/// Once-flag for the invalid-`--params` warning: one warning per
+/// process, not one per resolution.
 static PARAMS_WARNED: AtomicBool = AtomicBool::new(false);
 
 /// Resolves a raw `--params key=value,...` string against `base`'s
@@ -240,62 +240,44 @@ impl CostModel {
     }
 }
 
-/// Where evaluations execute. Implementations must return results for
+/// Where evaluations execute. Either way a batch returns results for
 /// exactly the requested cells (any order) with metrics bit-identical
 /// to [`crate::sweep::run`] of the same keys.
-pub trait Executor {
-    /// Executes a batch of cells.
-    ///
-    /// # Errors
-    ///
-    /// A human-readable message when execution is impossible (transport
-    /// failure, server-side rejection).
-    fn run(&mut self, cells: &[SimKey]) -> Result<Vec<(SimKey, Metrics, bool)>, String>;
-
-    /// One-line description for the run header.
-    fn describe(&self) -> String;
+pub enum Executor<'r> {
+    /// In-process execution over the parallel sweep engine, on
+    /// `threads` workers of `runner`.
+    Local {
+        /// The runner holding workloads and the metrics cache.
+        runner: &'r mut Runner,
+        /// Sweep worker threads.
+        threads: usize,
+    },
+    /// Remote execution against a resident `mom3d-serve` process: cells
+    /// go out as batched `SWEEP` requests through the retry layer
+    /// ([`RetryClient`]), so a long tuning run rides out dropped
+    /// connections, expired deadlines and `ERR_OVERLOADED` shedding — a
+    /// mid-sweep reconnect re-requests only the undelivered cells.
+    /// Built by [`Executor::connect`].
+    Remote {
+        /// The retrying client of the server (boxed: it is far larger
+        /// than the local variant).
+        client: Box<RetryClient>,
+        /// The server's identity, as its `PING` reply gave it.
+        hello: Hello,
+    },
 }
 
-/// In-process execution over the parallel sweep engine.
-pub struct LocalExec<'a> {
-    /// The runner holding workloads and the metrics cache.
-    pub runner: &'a mut Runner,
-    /// Sweep worker threads.
-    pub threads: usize,
-}
-
-impl Executor for LocalExec<'_> {
-    fn run(&mut self, cells: &[SimKey]) -> Result<Vec<(SimKey, Metrics, bool)>, String> {
-        let report = sweep::run(self.runner, cells, self.threads);
-        Ok(report.cells.into_iter().map(|c| (c.key, c.metrics, c.reused)).collect())
-    }
-
-    fn describe(&self) -> String {
-        format!("local sweep engine, {} threads", self.threads)
-    }
-}
-
-/// Remote execution against a resident `mom3d-serve` process: cells go
-/// out as batched `SWEEP` requests through the retry layer
-/// ([`RetryClient`]), so a long tuning run rides out dropped
-/// connections, expired deadlines and `ERR_OVERLOADED` shedding — a
-/// mid-sweep reconnect re-requests only the undelivered cells. The
-/// constructor pings the server (retrying) and refuses to tune against
-/// one whose seed or geometry differs from the tuner's — mixed
-/// identities would silently blend incomparable numbers.
-pub struct RemoteExec {
-    client: RetryClient,
-    hello: Hello,
-}
-
-impl RemoteExec {
-    /// Connects and verifies the server's identity.
+impl Executor<'_> {
+    /// Connects to a resident server for [`Executor::Remote`]. Pings the
+    /// server (retrying) and refuses to tune against one whose seed or
+    /// geometry differs from the tuner's — mixed identities would
+    /// silently blend incomparable numbers.
     ///
     /// # Errors
     ///
     /// A message describing the connection failure or the identity
     /// mismatch.
-    pub fn connect(endpoint: &Endpoint, seed: u64, small: bool) -> Result<RemoteExec, String> {
+    pub fn connect(endpoint: &Endpoint, seed: u64, small: bool) -> Result<Self, String> {
         let mut client = RetryClient::new(endpoint.clone(), RetryPolicy::default());
         let hello = client.ping().map_err(|e| format!("{endpoint}: PING failed: {e}"))?;
         if hello.seed != seed || hello.small != small {
@@ -307,26 +289,44 @@ impl RemoteExec {
                 if small { "small" } else { "full" }
             ));
         }
-        Ok(RemoteExec { client, hello })
+        Ok(Executor::Remote { client: Box::new(client), hello })
     }
-}
 
-impl Executor for RemoteExec {
+    /// Executes a batch of cells.
+    ///
+    /// # Errors
+    ///
+    /// A human-readable message when remote execution fails (transport
+    /// failure, server-side rejection).
     fn run(&mut self, cells: &[SimKey]) -> Result<Vec<(SimKey, Metrics, bool)>, String> {
-        // RetryClient::sweep chunks, reconnects and resumes internally;
-        // it returns every requested cell or a terminal error.
-        let replies = self
-            .client
-            .sweep(cells)
-            .map_err(|e| format!("{}: sweep failed: {e}", self.client.endpoint()))?;
-        Ok(replies
-            .into_iter()
-            .map(|CellReply { key, memo_hit, metrics }| (key, metrics, memo_hit))
-            .collect())
+        match self {
+            Executor::Local { runner, threads } => {
+                let report = sweep::run(runner, cells, *threads);
+                Ok(report.cells.into_iter().map(|c| (c.key, c.metrics, c.reused)).collect())
+            }
+            // RetryClient::sweep chunks, reconnects and resumes
+            // internally; it returns every requested cell or a terminal
+            // error.
+            Executor::Remote { client, .. } => {
+                let replies = client
+                    .sweep(cells)
+                    .map_err(|e| format!("{}: sweep failed: {e}", client.endpoint()))?;
+                Ok(replies
+                    .into_iter()
+                    .map(|CellReply { key, memo_hit, metrics }| (key, metrics, memo_hit))
+                    .collect())
+            }
+        }
     }
 
-    fn describe(&self) -> String {
-        format!("coordinator {} ({} threads)", self.client.endpoint(), self.hello.threads)
+    /// One-line description for the run header.
+    pub fn describe(&self) -> String {
+        match self {
+            Executor::Local { threads, .. } => format!("local sweep engine, {threads} threads"),
+            Executor::Remote { client, hello } => {
+                format!("coordinator {} ({} threads)", client.endpoint(), hello.threads)
+            }
+        }
     }
 }
 
@@ -527,8 +527,8 @@ fn search_seed(tune_seed: u64, kind: WorkloadKind, base: &str) -> u64 {
 
 /// Mutable search state shared by the exhaustive and hill-climb paths
 /// of one `(workload, family)` search.
-struct SearchState<'a> {
-    exec: &'a mut dyn Executor,
+struct SearchState<'a, 'r> {
+    exec: &'a mut Executor<'r>,
     cost: &'a CostModel,
     visited: &'a mut HashMap<SimKey, Eval>,
     order: &'a mut Vec<SimKey>,
@@ -537,7 +537,7 @@ struct SearchState<'a> {
     memo_hits: usize,
 }
 
-impl SearchState<'_> {
+impl SearchState<'_, '_> {
     /// Fresh evaluations still allowed under `budget`.
     fn remaining(&self, budget: usize) -> usize {
         budget.saturating_sub(self.evals)
@@ -585,7 +585,7 @@ fn search_family(
     kind: WorkloadKind,
     lattice: &Lattice,
     cfg: &TuneConfig,
-    state: &mut SearchState<'_>,
+    state: &mut SearchState<'_, '_>,
 ) -> Result<FamilyReport, String> {
     let budget = cfg.budget.max(1);
     let overrides: &[(&str, u64)] =
@@ -622,7 +622,7 @@ fn search_family(
                 (lattice.random(&mut rng), (w(&mut rng), w(&mut rng), w(&mut rng)))
             };
             restarts += 1;
-            let score = |state: &SearchState<'_>, p: &Point| -> Option<f64> {
+            let score = |state: &SearchState<'_, '_>, p: &Point| -> Option<f64> {
                 let e = state.visited.get(&lattice.key(kind, p))?;
                 Some(
                     weights.0 * e.cycles as f64 / norm.0
@@ -674,7 +674,7 @@ fn search_family(
 ///
 /// A human-readable message when the backend restriction names no
 /// registered family or the executor fails.
-pub fn tune(cfg: &TuneConfig, exec: &mut dyn Executor) -> Result<TuneReport, String> {
+pub fn tune(cfg: &TuneConfig, exec: &mut Executor) -> Result<TuneReport, String> {
     let families: Vec<BackendEntry> = BackendRegistry::entries()
         .into_iter()
         .filter(|e| !e.is_ideal)
@@ -1017,7 +1017,7 @@ mod tests {
             start_params: Vec::new(),
         };
         let mut runner = Runner::small(3);
-        let mut exec = LocalExec { runner: &mut runner, threads: 2 };
+        let mut exec = Executor::Local { runner: &mut runner, threads: 2 };
         let report = tune(&cfg, &mut exec).unwrap();
         assert_eq!(report.workloads.len(), 1);
         let w = &report.workloads[0];
@@ -1077,7 +1077,7 @@ mod tests {
             start_params: Vec::new(),
         };
         let mut runner = Runner::small(3);
-        let mut exec = LocalExec { runner: &mut runner, threads: 2 };
+        let mut exec = Executor::Local { runner: &mut runner, threads: 2 };
         let report = tune(&cfg, &mut exec).unwrap();
         let f = &report.workloads[0].families[0];
         assert!(!f.exhaustive, "81 × 2 × 2 points cannot fit a budget of 7");
@@ -1087,7 +1087,7 @@ mod tests {
         assert_eq!(report.workloads[0].visited[0].key, f.baseline.key);
         // Same seeds, fresh state: the identical walk.
         let mut runner2 = Runner::small(3);
-        let mut exec2 = LocalExec { runner: &mut runner2, threads: 1 };
+        let mut exec2 = Executor::Local { runner: &mut runner2, threads: 1 };
         let again = tune(&cfg, &mut exec2).unwrap();
         assert_eq!(report.to_json(), again.to_json());
     }
@@ -1099,7 +1099,7 @@ mod tests {
             ..TuneConfig::default()
         };
         let mut runner = Runner::small(1);
-        let mut exec = LocalExec { runner: &mut runner, threads: 1 };
+        let mut exec = Executor::Local { runner: &mut runner, threads: 1 };
         let err = tune(&cfg, &mut exec).unwrap_err();
         assert!(err.contains("no-such-family"));
         assert!(err.contains("dram-burst"), "error lists the known families");

@@ -367,6 +367,62 @@ proptest! {
     }
 }
 
+// ---- pinned synthetic extremes ---------------------------------------------
+
+/// A 4,096-op straight-line integer chain over eight registers: one run,
+/// no memory traffic, the most fused scalar pairs per trace.
+#[test]
+fn dense_alu_chain_matches_oracle() {
+    let mut tb = TraceBuilder::new();
+    for r in 0..8u8 {
+        tb.li(Gpr::new(r), i64::from(r).wrapping_mul(0x9e37_79b9) + 1);
+    }
+    let ops = [
+        IntOp::Add,
+        IntOp::Xor,
+        IntOp::And,
+        IntOp::Or,
+        IntOp::Sub,
+        IntOp::Mul,
+        IntOp::SltU,
+        IntOp::SltS,
+    ];
+    for i in 0..4096usize {
+        let reg = |k: usize| Gpr::new(((i + k) % 8) as u8);
+        tb.alu(ops[i % ops.len()], reg(0), reg(1), reg(3));
+    }
+    assert_equivalent(&tb.finish(), &Machine::new());
+}
+
+/// A 512-iteration strided 2D vector loop (VL 16, 256-byte stride):
+/// load, load, add, store over a pre-seeded source, the page-batched
+/// memory accessors' heaviest shape.
+#[test]
+fn strided_2d_vector_loop_matches_oracle() {
+    const SRC: u64 = 0x1_0000;
+    const DST: u64 = 0x2_0000;
+    const STRIDE: i64 = 256;
+    let mut machine = Machine::new();
+    for row in 0..16u64 {
+        for col in 0..8u64 {
+            let addr = SRC + row * STRIDE as u64 + col * 8;
+            machine.mem.write_u64(addr, addr.wrapping_mul(0x2545_f491_4f6c_dd1d));
+        }
+    }
+    let mut tb = TraceBuilder::new();
+    tb.set_vl(16);
+    tb.set_vs(STRIDE);
+    let base = tb.li(Gpr::new(1), 0);
+    for i in 0..512u64 {
+        let col = (i % 7) * 8;
+        tb.vload(MomReg::new(0), base, SRC + col);
+        tb.vload(MomReg::new(1), base, SRC + col + 8);
+        tb.vop2(UsimdOp::AddWrap(Width::B8), MomReg::new(2), MomReg::new(0), MomReg::new(1));
+        tb.vstore(MomReg::new(2), base, DST + col);
+    }
+    assert_equivalent(&tb.finish(), &machine);
+}
+
 // ---- pinned error-path parity ---------------------------------------------
 
 /// Asserts both paths fail with exactly `expected` at the same index,

@@ -7,7 +7,7 @@
 //! over *how* they are simulated.
 
 use mom3d::kernels::WorkloadKind;
-use mom3d_bench::tune::{dominates, tune, LocalExec, TuneConfig, TuneReport};
+use mom3d_bench::tune::{dominates, tune, Executor, TuneConfig, TuneReport};
 use mom3d_bench::Runner;
 
 const SEED: u64 = 7;
@@ -32,7 +32,7 @@ fn cfg() -> TuneConfig {
 
 fn run(threads: usize) -> TuneReport {
     let mut runner = Runner::small(SEED);
-    let mut exec = LocalExec { runner: &mut runner, threads };
+    let mut exec = Executor::Local { runner: &mut runner, threads };
     tune(&cfg(), &mut exec).expect("tuning succeeds")
 }
 
